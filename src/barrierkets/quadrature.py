@@ -124,18 +124,26 @@ def _initial_panel_count(lo: float, hi: float, freq_hint: float, max_panels: int
     return min(n, max(32, max_panels // 2))
 
 
-def _eval_panels(f, lo_edges, hi_edges, ncols):
-    """Apply the 7/15 pair to each panel.  Returns (values, errors) arrays."""
+def _eval_panels(f, lo_edges, hi_edges):
+    """Apply the 7/15 pair to each panel.
+
+    Returns (values, errors, ncols): arrays with one row per panel and one
+    column per batch component, and the batch width the integrand produced
+    (0 for a scalar integrand).
+    """
     half = 0.5 * (hi_edges - lo_edges)
     center = 0.5 * (hi_edges + lo_edges)
     nodes = center[:, None] + half[:, None] * _NODES[None, :]
     fx = np.asarray(f(nodes.ravel()))
+    if fx.ndim not in (1, 2):
+        raise DomainError(f"integrand must return 1-d or (n, batch) arrays, got shape {fx.shape}")
     if fx.shape[0] != nodes.size:
         raise DomainError("integrand returned a result of the wrong length")
-    fx = fx.reshape(nodes.shape[0], 15, ncols)
+    ncols = fx.shape[1] if fx.ndim == 2 else 0
+    fx = fx.reshape(nodes.shape[0], 15, max(ncols, 1))
     k15 = half[:, None] * np.tensordot(fx, _WK, axes=([1], [0]))
     g7 = half[:, None] * np.tensordot(fx, _WG, axes=([1], [0]))
-    return k15, np.abs(k15 - g7)
+    return k15, np.abs(k15 - g7), ncols
 
 
 def _probe_columns(f, lo, hi):
@@ -149,12 +157,14 @@ def _probe_columns(f, lo, hi):
 
 
 def _adaptive(f, lo, hi, abs_tol, rel_tol, max_panels, n0):
-    """Shared adaptive loop.  Returns (values (B,), errors (B,), n_panels)."""
-    ncols = _probe_columns(f, lo, hi)
-    b = max(ncols, 1)
+    """Shared adaptive loop.
+
+    Returns (values (B,), errors (B,), n_panels, ncols).  The batch width
+    is read off the first round of panel evaluations.
+    """
     edges = np.linspace(lo, hi, n0 + 1)
     lo_e, hi_e = edges[:-1], edges[1:]
-    vals, errs = _eval_panels(f, lo_e, hi_e, b)
+    vals, errs, ncols = _eval_panels(f, lo_e, hi_e)
 
     while True:
         total = vals.sum(axis=0)
@@ -184,8 +194,8 @@ def _adaptive(f, lo, hi, abs_tol, rel_tol, max_panels, n0):
         mid = 0.5 * (lo_e[flag] + hi_e[flag])
         new_lo = np.concatenate([lo_e[~flag], lo_e[flag], mid])
         new_hi = np.concatenate([hi_e[~flag], mid, hi_e[flag]])
-        new_vals, new_errs = _eval_panels(f, np.concatenate([lo_e[flag], mid]),
-                                          np.concatenate([mid, hi_e[flag]]), b)
+        new_vals, new_errs, _ = _eval_panels(f, np.concatenate([lo_e[flag], mid]),
+                                             np.concatenate([mid, hi_e[flag]]))
         vals = np.concatenate([vals[~flag], new_vals], axis=0)
         errs = np.concatenate([errs[~flag], new_errs], axis=0)
         order = np.argsort(new_lo, kind="stable")

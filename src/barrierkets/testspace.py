@@ -263,12 +263,14 @@ def _node_count(terms) -> int:
 class TestFunction:
     """An element of the test-function algebra over one barrier model.
 
-    Treat instances as immutable.  Derivatives are cached as a chain, so
-    repeated evaluation at increasing order repeats no symbolic work.
+    Treat instances as immutable.  Derivatives and the images under Q, P
+    and H are cached as chains, so repeated evaluation at increasing order,
+    and seminorms whose operator words share a prefix, repeat no symbolic
+    work.
     """
 
     __slots__ = ("model", "terms", "order_cap", "node_budget", "_deriv",
-                 "__weakref__")
+                 "_images", "__weakref__")
 
     def __init__(self, model: BarrierModel, terms, order_cap: int = DEFAULT_ORDER_CAP,
                  node_budget: int = DEFAULT_NODE_BUDGET):
@@ -277,6 +279,7 @@ class TestFunction:
         self.order_cap = order_cap
         self.node_budget = node_budget
         self._deriv = None
+        self._images = {}
         count = _node_count(self.terms)
         if count > node_budget:
             raise CapabilityError(
@@ -359,6 +362,13 @@ def evaluate(f: TestFunction, x, n: int = 0):
 
 def apply_observable(observable: Observable, f: TestFunction) -> TestFunction:
     """Apply Q (multiply by x), P (-i hbar d/dx) or H to a test function."""
+    image = f._images.get(observable)
+    if image is None:
+        image = f._images[observable] = _apply(observable, f)
+    return image
+
+
+def _apply(observable: Observable, f: TestFunction) -> TestFunction:
     model = f.model
     if observable is Observable.Q:
         terms = tuple(

@@ -17,12 +17,23 @@ piece integrals
 
     S(k) = coeff(k) * integral over region of exp(i s k x) f(x) dx * exp(-i s k x0)
 
-vary on the scale of the packet width only.  Pieces are splined on adaptive
-k-grids, refined until the observed interpolation error at probe midpoints
-drops below a fixed fraction of the quadrature tolerance, and the amplitude
-is reassembled as sum of spline(k) * exp(i s k x0) terms times the spectral
-prefactor.  The barrier interior, when it meets the support, is one extra
-piece evaluated directly per wave number; it is short, so it is slow in k.
+vary on the scale of the packet width only.  Each piece is interpolated by
+degree-16 Chebyshev polynomials on panels that cover [k_lo, k_max] (Trefethen,
+Approximation Theory and Approximation Practice, SIAM 2013).  A panel is
+accepted when the last two coefficients of its Chebyshev series and its
+error at two held-out probe points are below a fixed fraction of the
+quadrature tolerance (the chopping test of Aurentz and Trefethen, ACM TOMS
+43, 2017); otherwise it is bisected, and its probes become nodes of its
+halves.  The amplitude is reassembled as sum of panels(k) * exp(i s k x0)
+terms times the spectral prefactor.  The barrier interior, when it meets the
+support, is one extra piece evaluated directly per wave number; it is short,
+so it is slow in k.
+
+An expansion truncated at k_max cannot see the part of f beyond the cutoff.
+After each build the mass of that part is bounded from the amplitudes at the
+cutoff (see _tail_mass), and a build that would miss f by more than abs_tol
+in norm raises AccuracyError carrying the amplitude object instead of
+returning truncated answers.
 
 Transforms are memoized per (function, sign, tolerance spec); caches are
 write-once and all callables are pure.
@@ -35,7 +46,7 @@ import weakref
 from dataclasses import replace as drep
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from numpy.polynomial import chebyshev as cheb
 
 from .errors import AccuracyError, DomainError
 from .model import BarrierModel, Observable
@@ -67,14 +78,31 @@ __all__ = [
 # amplitude; split over the four possible pieces of one channel.
 _CACHE_TOL_FRACTION = 0.1
 _PIECES_PER_CHANNEL = 4
-# Reported interpolation bound inflates the observed midpoint error, since
-# the true cubic interpolation maximum sits between probe points.
+# Reported interpolation bound inflates the largest accepted panel error
+# (chopped tail or probe error, whichever is larger).  Chebyshev
+# interpolation errs by at most twice the sum of the dropped coefficients,
+# which stays below twice the tail when the coefficients still fall by half
+# per degree at the chop; the margin covers slower decay.
 _INTERP_SAFETY = 5.0
-# Lowest cached wave number relative to k_max; below it the spline endpoint
-# value is used (the spectral measure kills the neighborhood of k = 0).
+# Lowest cached wave number relative to k_max; below it the value at the
+# lower panel edge is used (the spectral measure kills the neighborhood of
+# k = 0).
 _K_EPS_FRACTION = 1e-8
 _K_CHUNK = 256
 _NORM_PROBE_TOL = 1e-8
+# Chebyshev panels: polynomial degree, and the initial partition of one
+# panel per _SEED_WIDTH / L wave-number units, L the length of the region
+# being transformed (the demodulated phase then turns ~L/2 * width rad).
+_DEGREE = 16
+_SEED_WIDTH = 48.0
+# Power-law decay assumed past a cutoff (see _tail_mass).
+_TAIL_POWER = 1.5
+# Chebyshev-Lobatto nodes on [-1, 1], ascending.  The sine form is exactly
+# antisymmetric with an exact 0 in the middle, so a panel's middle node is
+# bit-identical to the edge its two halves share.
+_LOBATTO = np.sin(0.5 * np.pi * np.arange(-_DEGREE, _DEGREE + 1, 2) / _DEGREE)
+# Values at the nodes to Chebyshev coefficients.
+_TO_CHEB = np.linalg.inv(cheb.chebvander(_LOBATTO, _DEGREE))
 
 
 def _piece_tol(spec: QuadratureSpec) -> float:
@@ -113,22 +141,94 @@ def _amplitude_scale(f: TestFunction, lo: float, hi: float) -> float:
     return peak
 
 
-class _Piece:
-    """One demodulated amplitude component on its own adaptive k-grid."""
+class _Panels:
+    """Piecewise Chebyshev interpolant: sorted panel edges, one series each."""
 
-    __slots__ = ("region", "s", "coeff", "demod", "spline", "points", "max_err")
+    __slots__ = ("edges", "coeffs")
+
+    def __init__(self, edges: np.ndarray, coeffs: np.ndarray):
+        self.edges = edges    # (P + 1,)
+        self.coeffs = coeffs  # (P, _DEGREE + 1)
+
+    def __call__(self, k: np.ndarray) -> np.ndarray:
+        idx = np.clip(np.searchsorted(self.edges, k, side="right") - 1,
+                      0, len(self.coeffs) - 1)
+        a, b = self.edges[idx], self.edges[idx + 1]
+        t = (2.0 * k - (a + b)) / (b - a)
+        return cheb.chebval(t, self.coeffs[idx].T, tensor=False)
+
+
+def _seed_panels(span: float, region_len: float) -> int:
+    return max(1, math.ceil(span * region_len / _SEED_WIDTH))
+
+
+def _chebyshev_panels(direct, lo: float, hi: float, n0: int, tol: float,
+                      cap: int):
+    """See module docstring: certified piecewise Chebyshev interpolation.
+
+    direct maps a sorted array of wave numbers to values; it is called once
+    per refinement round, never twice at one wave number.  Returns the
+    interpolant, the number of direct evaluations and the largest accepted
+    panel error.
+    """
+    known = {}
+    edges = np.linspace(lo, hi, n0 + 1)
+    pending_lo, pending_hi = edges[:-1], edges[1:]
+    done_lo, done_coeffs = [], []
+    worst = 0.0
+    while pending_lo.size:
+        a, b = pending_lo, pending_hi
+        mid = 0.5 * (a + b)
+        nodes = mid[:, None] + 0.5 * (b - a)[:, None] * _LOBATTO
+        nodes[:, 0], nodes[:, -1] = a, b
+        # The probes are the middles of the two halves, so a panel that
+        # fails hands them on as its halves' middle nodes.
+        probes = np.stack([0.5 * (a + mid), 0.5 * (mid + b)], axis=1)
+        wanted = np.unique(np.concatenate([nodes.ravel(), probes.ravel()]))
+        new = [k for k in wanted.tolist() if k not in known]
+        if len(known) + len(new) > cap:
+            raise AccuracyError(
+                "amplitude cache refinement exhausted its point budget",
+                error=worst)
+        if new:
+            known.update(zip(new, direct(np.array(new)).tolist()))
+        node_vals = np.array([[known[k] for k in row] for row in nodes.tolist()])
+        probe_vals = np.array([[known[k] for k in row] for row in probes.tolist()])
+        coeffs = node_vals @ _TO_CHEB.T
+        tail = np.abs(coeffs[:, -2:]).max(axis=1)
+        fit = cheb.chebval(np.array([-0.5, 0.5]), coeffs.T)
+        err = np.maximum(tail, np.abs(fit - probe_vals).max(axis=1))
+        # A panel too narrow to halve is kept with its observed error.
+        ok = (err <= tol) | ~((a < mid) & (mid < b))
+        worst = max(worst, float(err[ok].max(initial=0.0)))
+        done_lo.append(a[ok])
+        done_coeffs.append(coeffs[ok])
+        split = ~ok
+        pending_lo = np.concatenate([a[split], mid[split]])
+        pending_hi = np.concatenate([mid[split], b[split]])
+    starts = np.concatenate(done_lo)
+    order = np.argsort(starts, kind="stable")
+    edges = np.append(starts[order], hi)
+    return (_Panels(edges, np.concatenate(done_coeffs)[order]), len(known),
+            worst)
+
+
+class _Piece:
+    """One demodulated amplitude component on its own Chebyshev panels."""
+
+    __slots__ = ("region", "s", "coeff", "demod", "panels", "points", "max_err")
 
     def __init__(self, region, s, coeff, demod):
         self.region = region
         self.s = s          # exponent sign of exp(i s k x); 0 marks interior
         self.coeff = coeff  # "one" | "refl" | "trans" | "interior"
         self.demod = demod
-        self.spline = None
+        self.panels = None
         self.points = 0
         self.max_err = 0.0
 
     def assemble(self, k: np.ndarray) -> np.ndarray:
-        vals = self.spline(k)
+        vals = self.panels(k)
         if self.s:
             vals = vals * np.exp(1j * self.s * self.demod * k)
         return vals
@@ -276,16 +376,16 @@ class EnergyAmplitude:
 class MomentumAmplitude:
     """Plane-wave amplitude of a test function: p maps to <p|f>."""
 
-    __slots__ = ("model", "hbar", "p_max", "demod", "spline", "scale",
+    __slots__ = ("model", "hbar", "p_max", "demod", "panels", "scale",
                  "max_interp_error", "cache_points", "osc_hint")
 
-    def __init__(self, model, spec: QuadratureSpec, demod, spline, points,
+    def __init__(self, model, spec: QuadratureSpec, demod, panels, points,
                  max_err, scale=1.0):
         self.model = model
         self.hbar = model.hbar
         self.p_max = model.hbar * spec.k_max
         self.demod = demod
-        self.spline = spline
+        self.panels = panels
         self.scale = scale
         self.cache_points = points
         self.max_interp_error = scale * _INTERP_SAFETY * max_err
@@ -294,7 +394,7 @@ class MomentumAmplitude:
     def amplitude(self, p):
         p_arr = np.atleast_1d(np.asarray(p, dtype=float))
         pc = np.clip(p_arr, -self.p_max, self.p_max)
-        vals = self.scale * self.spline(pc) * np.exp(
+        vals = self.scale * self.panels(pc) * np.exp(
             -1j * self.demod * pc / self.hbar)
         vals[np.abs(p_arr) > self.p_max] = 0.0
         if np.ndim(p) == 0:
@@ -306,13 +406,51 @@ _ENERGY_MEMO: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 _MOMENTUM_MEMO: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
-def _grid_seed(span: float, support_len: float) -> int:
-    return max(129, min(1025, int(math.ceil(span * support_len / 16.0)) | 1))
+def _tail_mass(edge: float, cut: float) -> float:
+    """Mass of a spectral density past its cutoff, from its value there.
+
+    Amplitudes of test functions fall faster than any power, but for
+    packets near the barrier the windows keep them large at the usual
+    cutoffs: between half the cutoff energy and the cutoff their density
+    falls only like E^-1.3 to E^-2.5.  The mass past the cutoff is taken as
+    if the density decayed like t^-_TAIL_POWER (t the energy or momentum).
+    On such packets this came out 1.2 to 2.4 times the mass the truncation
+    actually loses, read off as the deficit of the total probability.
+    """
+    return edge * cut / (_TAIL_POWER - 1.0)
+
+
+def _energy_tail(amp: EnergyAmplitude) -> float:
+    e_probe = amp.e_cut * (1.0 - 1e-12)
+    edge = sum(abs(amp.amplitude(e_probe, c)) ** 2
+               for c in (Channel.LEFT, Channel.RIGHT))
+    return _tail_mass(edge, amp.e_cut)
+
+
+def _certify_cutoff(amp, tail: float, f: TestFunction, spec: QuadratureSpec,
+                    cutoff: str):
+    """Refuse an expansion that misses f by more than abs_tol in norm.
+
+    The part of f the truncated expansion drops has norm sqrt(tail).  A
+    looser test on the mass itself (tail <= abs_tol * (f, f)) would keep
+    probabilities within abs_tol but lets reconstructions err by about
+    sqrt(abs_tol) * ||f||.
+    """
+    limit = (spec.abs_tol ** 2) * inner_product(f, f, spec).real
+    if tail > limit:
+        raise AccuracyError(
+            f"mass beyond the {cutoff} cutoff ({tail:.3e}) exceeds "
+            f"(abs_tol * ||f||)^2 = {limit:.3e}; raise k_max",
+            value=amp, error=math.sqrt(tail))
 
 
 def energy_transform(f: TestFunction, sign: SignLabel,
                      spec: QuadratureSpec) -> EnergyAmplitude:
-    """Analyze f against the chosen family of generalized eigenfunctions."""
+    """Analyze f against the chosen family of generalized eigenfunctions.
+
+    Raises AccuracyError, with the amplitude as its value, when the part of
+    f beyond the cutoff energy cannot be neglected at spec.abs_tol.
+    """
     memo = _ENERGY_MEMO.setdefault(f, {})
     key = (sign, spec)
     if key in memo:
@@ -323,12 +461,13 @@ def energy_transform(f: TestFunction, sign: SignLabel,
     fs = f if scale == 1.0 else f.scaled(1.0 / scale)
     k_lo = _K_EPS_FRACTION * spec.k_max
     tol = _piece_tol(spec)
-    n0 = _grid_seed(spec.k_max, max(hi - lo, 1.0))
     cap = spec.max_subdivisions
     pieces = {}
     for channel in (Channel.LEFT, Channel.RIGHT):
         plist = _channel_pieces(model, channel, lo, hi, sign) if hi > lo else []
         for piece in plist:
+            n0 = _seed_panels(spec.k_max - k_lo,
+                              piece.region[1] - piece.region[0])
             # The loosened second pass keeps partially converged caches
             # usable when an integrand sits near the roundoff floor.
             for relax in (1.0, 8.0):
@@ -339,56 +478,20 @@ def energy_transform(f: TestFunction, sign: SignLabel,
                                          k_arr, ispec)
 
                 try:
-                    spline, npts, worst = _refine_grid(
+                    panels, npts, worst = _chebyshev_panels(
                         direct, k_lo, spec.k_max, n0, relax * tol, cap)
                     break
                 except AccuracyError:
                     if relax != 1.0:
                         raise
-            piece.spline = spline
+            piece.panels = panels
             piece.points = npts
             piece.max_err = worst
         pieces[channel] = plist
     amp = EnergyAmplitude(model, sign, spec, pieces, scale)
+    _certify_cutoff(amp, _energy_tail(amp), f, spec, "k_max")
     memo[key] = amp
     return amp
-
-
-def _refine_grid(direct, lo: float, hi: float, n0: int, tol: float, cap: int):
-    """See module docstring: certified adaptive cubic interpolation."""
-    grid = np.linspace(lo, hi, n0)
-    vals = direct(grid)
-    # Intervals are tracked by their endpoint values; every direct midpoint
-    # evaluation joins the grid, so failed probes are never wasted work.
-    xs = list(grid)
-    ys = list(vals)
-    pending = [(xs[i], xs[i + 1]) for i in range(len(xs) - 1)]
-    worst = 0.0
-    while pending:
-        if len(xs) > cap:
-            raise AccuracyError(
-                "amplitude cache refinement exhausted its point budget",
-                error=worst)
-        spline = CubicSpline(np.array(xs), np.array(ys))
-        mids = np.array([0.5 * (a + b) for a, b in pending])
-        direct_mid = direct(mids)
-        err = np.abs(spline(mids) - direct_mid)
-        next_pending = []
-        for (a, b), m, dv, e in zip(pending, mids, direct_mid, err):
-            m = float(m)
-            if not a < m < b:
-                worst = max(worst, float(e))
-                continue
-            i = int(np.searchsorted(xs, m))
-            xs.insert(i, m)
-            ys.insert(i, complex(dv))
-            if e > tol:
-                next_pending.append((a, m))
-                next_pending.append((m, b))
-            else:
-                worst = max(worst, float(e))
-        pending = next_pending
-    return CubicSpline(np.array(xs), np.array(ys)), len(xs), worst
 
 
 def _wave_rows(model: BarrierModel, sign: SignLabel, channel: Channel,
@@ -481,21 +584,21 @@ def momentum_transform(f: TestFunction, direction: str = "analysis",
         return memo[spec]
     model = f.model
     lo, hi = _support(f, spec)
-    if hi <= lo:
-        flat = CubicSpline(np.array([-1.0, 0.0, 1.0]),
-                           np.zeros(3, dtype=complex))
-        amp = MomentumAmplitude(model, spec, 0.0, flat, 3, 0.0)
-        memo[spec] = amp
-        return amp
     hbar = model.hbar
     p_max = hbar * spec.k_max
+    if hi <= lo:
+        zero = _Panels(np.array([-p_max, p_max]),
+                       np.zeros((1, _DEGREE + 1), dtype=complex))
+        amp = MomentumAmplitude(model, spec, 0.0, zero, 0, 0.0)
+        memo[spec] = amp
+        return amp
     demod = 0.5 * (lo + hi)
     tol = _CACHE_TOL_FRACTION * spec.abs_tol
     fscale = _amplitude_scale(f, lo, hi)
     fs = f if fscale == 1.0 else f.scaled(1.0 / fscale)
     norm = 1.0 / math.sqrt(2.0 * math.pi * hbar)
     phase = f.max_phase()
-    n0 = _grid_seed(2.0 * p_max / hbar, hi - lo)
+    n0 = _seed_panels(2.0 * spec.k_max, hi - lo)
     for relax in (1.0, 8.0):
         ispec = _inner_spec(spec, relax)
 
@@ -516,14 +619,15 @@ def momentum_transform(f: TestFunction, direction: str = "analysis",
             return out
 
         try:
-            spline, npts, worst = _refine_grid(direct, -p_max, p_max, n0,
-                                               relax * tol,
-                                               spec.max_subdivisions)
+            panels, npts, worst = _chebyshev_panels(
+                direct, -p_max, p_max, n0, relax * tol, spec.max_subdivisions)
             break
         except AccuracyError:
             if relax != 1.0:
                 raise
-    amp = MomentumAmplitude(model, spec, demod, spline, npts, worst, fscale)
+    amp = MomentumAmplitude(model, spec, demod, panels, npts, worst, fscale)
+    edge = abs(amp.amplitude(p_max)) ** 2 + abs(amp.amplitude(-p_max)) ** 2
+    _certify_cutoff(amp, _tail_mass(edge, p_max), f, spec, "p_max")
     memo[spec] = amp
     return amp
 
@@ -700,13 +804,7 @@ def spectral_probability(f: TestFunction, e_lo: float, e_hi: float,
         else:
             per_channel[channel] = 0.0
     prob = sum(per_channel.values())
-    tail = 0.0
-    if e_hi > amp.e_cut:
-        # Amplitudes of test functions fall faster than any power; bound the
-        # lost mass as if |amp|^2 decayed like E^-8 past the cutoff.
-        e_probe = amp.e_cut * (1.0 - 1e-12)
-        for channel in (Channel.LEFT, Channel.RIGHT):
-            tail += abs(amp.amplitude(e_probe, channel)) ** 2 * amp.e_cut / 7.0
+    tail = _energy_tail(amp) if e_hi > amp.e_cut else 0.0
     if details:
         info = {
             "e_cut": amp.e_cut,

@@ -1,0 +1,124 @@
+"""Chebyshev amplitude caches: tight tolerances, long supports, query order,
+and packets near the barrier whose expansion the k_max cutoff truncates."""
+
+import math
+
+import numpy as np
+import pytest
+
+from barrierkets import (
+    AccuracyError,
+    BarrierModel,
+    Channel,
+    EnergyAmplitude,
+    GaussianPacket,
+    MomentumAmplitude,
+    QuadratureSpec,
+    SignLabel,
+    build_test_function,
+    energy_transform,
+    evaluate,
+    inner_product,
+    momentum_transform,
+    parseval_defect,
+    spectral_probability,
+    synthesize_energy,
+    synthesize_momentum,
+)
+
+MODEL = BarrierModel()
+SPEC = QuadratureSpec()
+# The gate's tolerances (tests/test_acceptance.py, criteria 04, 05, 10).
+RECONSTRUCTION_TOL = 1e-6
+PARSEVAL_MOMENTUM_TOL = 1e-8
+PROBABILITY_TOL = 1e-6
+
+
+def _unit(packet, spec=SPEC):
+    f = build_test_function(MODEL, packet)
+    return f.scaled(1.0 / math.sqrt(inner_product(f, f, spec).real))
+
+
+def _probes(f):
+    lo, hi = f.support_interval(SPEC.spatial_radius)
+    probes = np.linspace(lo, hi, 50)
+    return probes, evaluate(f, probes)
+
+
+def test_battery_packet_at_tight_tolerance():
+    tight = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)
+    f = _unit(GaussianPacket(center=-20.0, width=1.0, momentum=3.0), tight)
+    amp = energy_transform(f, SignLabel.PLUS, tight)
+    assert amp.max_interp_error < 1e-11
+    assert parseval_defect(f, f, "energy+", tight) < 1e-11
+
+
+@pytest.mark.parametrize("center", [25.0, -23.0])
+def test_longest_gate_packet_at_default_budget(center):
+    # The gate's packets reach |center| 25 and width 2; with degree 2 they
+    # have the longest supports and so the most oscillatory pieces.
+    f = _unit(GaussianPacket(center=center, width=2.0, poly_degree=2))
+    probes, reference = _probes(f)
+    for sign in (SignLabel.PLUS, SignLabel.MINUS):
+        amp = energy_transform(f, sign, SPEC)
+        assert amp.max_interp_error < 1e-10
+        rebuilt = synthesize_energy(amp, probes, SPEC)
+        assert np.max(np.abs(rebuilt - reference)) < RECONSTRUCTION_TOL
+        prob = spectral_probability(f, 0.0, math.inf, sign, SPEC)
+        assert abs(prob - 1.0) < PROBABILITY_TOL
+
+
+def test_amplitudes_do_not_depend_on_query_order():
+    f = _unit(GaussianPacket(center=-20.0, width=1.0, momentum=3.0))
+    amp = energy_transform(f, SignLabel.PLUS, SPEC)
+    energies = np.linspace(0.05, amp.e_cut, 997)
+    order = np.random.default_rng(7).permutation(energies.size)
+    for channel in (Channel.LEFT, Channel.RIGHT):
+        forward = amp.amplitude(energies, channel)
+        shuffled = amp.amplitude(energies[order], channel)
+        assert np.array_equal(shuffled, forward[order])
+        one_by_one = [amp.amplitude(e, channel) for e in energies[order[:20]]]
+        assert np.array_equal(np.array(one_by_one), forward[order[:20]])
+    mom = momentum_transform(f, "analysis", SPEC)
+    momenta = np.linspace(-mom.p_max, mom.p_max, 997)
+    assert np.array_equal(mom.amplitude(momenta[order]),
+                          mom.amplitude(momenta)[order])
+
+
+# Packets of width 1 from five units left of the barrier [0, 1] to five
+# units right of it.  The step of 11/15 puts most centers between the
+# integers, so the test also sees centers such as -2.8, where a cutoff
+# test that holds at the integers can still pass wrong numbers.
+NEAR_BARRIER = [float(c) for c in np.linspace(-5.0, 6.0, 16)]
+
+
+@pytest.mark.parametrize("center", NEAR_BARRIER)
+def test_near_barrier_packets_raise_or_meet_the_gate(center):
+    f = _unit(GaussianPacket(center=center, width=1.0))
+    probes, reference = _probes(f)
+    try:
+        amp = energy_transform(f, SignLabel.PLUS, SPEC)
+    except AccuracyError as exc:
+        assert isinstance(exc.value, EnergyAmplitude)
+        assert exc.error > SPEC.abs_tol
+    else:
+        rebuilt = synthesize_energy(amp, probes, SPEC)
+        assert np.max(np.abs(rebuilt - reference)) < RECONSTRUCTION_TOL
+        prob = spectral_probability(f, 0.0, math.inf, SignLabel.PLUS, SPEC)
+        assert abs(prob - 1.0) < PROBABILITY_TOL
+    try:
+        mom = momentum_transform(f, "analysis", SPEC)
+    except AccuracyError as exc:
+        assert isinstance(exc.value, MomentumAmplitude)
+        assert exc.error > SPEC.abs_tol
+    else:
+        rebuilt = synthesize_momentum(mom, probes, SPEC)
+        assert np.max(np.abs(rebuilt - reference)) < PARSEVAL_MOMENTUM_TOL
+
+
+def test_straddling_packet_raises():
+    f = _unit(GaussianPacket(center=0.5, width=1.0))
+    with pytest.raises(AccuracyError):
+        energy_transform(f, SignLabel.MINUS, SPEC)
+    with pytest.raises(AccuracyError):
+        momentum_transform(f, "analysis", SPEC)
