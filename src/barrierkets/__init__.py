@@ -17,8 +17,7 @@ from .quadrature import QuadratureResult, QuadratureSpec, integrate_energy, \
     integrate_energy_batch, integrate_line, integrate_line_batch
 from .scattering import Channel, ScatteringSolution, SignLabel, s_matrix, \
     solve_matching
-from .eigenbasis import EigenfunctionHandle, energy_prefactor, \
-    eval_energy_eigenfunction, eval_plane_wave, scattering_wave
+from .eigenbasis import energy_prefactor, eval_plane_wave, scattering_wave
 from .testspace import GaussianPacket, TestFunction, apply_observable, \
     build_test_function, evaluate, inner_product, lincomb, seminorm, \
     slow_decay_example
@@ -54,9 +53,7 @@ __all__ = [
     "SignLabel",
     "s_matrix",
     "solve_matching",
-    "EigenfunctionHandle",
     "energy_prefactor",
-    "eval_energy_eigenfunction",
     "eval_plane_wave",
     "scattering_wave",
     "GaussianPacket",

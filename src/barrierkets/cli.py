@@ -26,7 +26,7 @@ from .errors import AccuracyError, CapabilityError, ConditioningError, \
     DomainError
 from .model import BarrierModel
 from .quadrature import QuadratureSpec
-from .scattering import Channel, SignLabel, s_matrix, solve_matching
+from .scattering import Channel, SignLabel, _solve
 from .eigenbasis import scattering_wave
 from .testspace import GaussianPacket, build_test_function, evaluate, \
     inner_product
@@ -190,20 +190,15 @@ def cmd_coeffs(args) -> int:
     grid = _energy_grid(cfg, args)
     header = ("E,k,re_T,im_T,re_Rl,im_Rl,re_Rr,im_Rr,"
               "abs_T2,abs_Rl2,unitarity_defect")
-    rows = []
-    eye = np.eye(2)
-    for energy in grid:
-        sol = solve_matching(model, float(energy))
-        s = s_matrix(model, float(energy))
-        defect = float(np.max(np.abs(s.conj().T @ s - eye)))
-        rows.append([
-            _fmt(float(energy)), _fmt(sol.k),
-            _fmt(sol.t.real), _fmt(sol.t.imag),
-            _fmt(sol.r_l.real), _fmt(sol.r_l.imag),
-            _fmt(sol.r_r.real), _fmt(sol.r_r.imag),
-            _fmt(abs(sol.t) ** 2), _fmt(abs(sol.r_l) ** 2),
-            _fmt(defect),
-        ])
+    sol = _solve(model, grid)
+    # One S matrix [[T, R_r], [R_l, T]] per energy.
+    s = np.moveaxis(np.array([[sol.t, sol.r_r], [sol.r_l, sol.t]]), -1, 0)
+    defect = np.max(np.abs(np.conj(np.swapaxes(s, -1, -2)) @ s - np.eye(2)),
+                    axis=(-2, -1))
+    cols = [grid, sol.k, sol.t.real, sol.t.imag, sol.r_l.real, sol.r_l.imag,
+            sol.r_r.real, sol.r_r.imag, np.abs(sol.t) ** 2,
+            np.abs(sol.r_l) ** 2, defect]
+    rows = [[_fmt(v) for v in row] for row in zip(*(c.tolist() for c in cols))]
     _emit(_csv(header, rows), args.out)
     return 0
 

@@ -8,21 +8,26 @@ prefactor sqrt(m / (2 pi k hbar^2)).  Momentum eigenfunctions are the plane
 waves e^{ipx/hbar} / sqrt(2 pi hbar).  The position eigenfunctions are delta
 distributions; they have no pointwise values and act only inside integrals,
 so no evaluator for them exists here.
+
+All energy eigenfunction values come from one grid evaluator over (energies
+of one matching solution) x (positions).  Inside the barrier it takes two
+routes, each on its own rows: the cos / d*sinc propagator where
+|kappa| * width <= SMALL_PHASE or the energy lies in the degenerate shell
+around the barrier top, and the interface-scaled exponential basis
+everywhere else.  scattering_wave is its one-energy view.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .model import BarrierModel
-from .scattering import SMALL_PHASE, Channel, ScatteringSolution, SignLabel, solve_matching
+from .scattering import SMALL_PHASE, Channel, ScatteringSolution, SignLabel, \
+    _sinc, _solve
 
 __all__ = [
-    "EigenfunctionHandle",
-    "eval_energy_eigenfunction",
     "eval_plane_wave",
     "energy_prefactor",
 ]
@@ -40,91 +45,73 @@ def energy_prefactor(model: BarrierModel, k):
     return val
 
 
-def _sinc_arr(z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=complex)
-    small = np.abs(z) < 1e-4
-    safe = np.where(small, 1.0, z)
-    out = np.sin(safe) / safe
-    z2 = z * z
-    return np.where(small, 1.0 - z2 / 6.0 * (1.0 - z2 / 20.0), out)
+def _wave_grid(model: BarrierModel, sol: ScatteringSolution, channel: Channel,
+               sign: SignLabel, x: np.ndarray,
+               include_prefactor: bool = True) -> np.ndarray:
+    """Eigenfunction values on a (energies of sol) x (positions) grid.
 
-
-def _interior_values(sol: ScatteringSolution, channel: Channel, x: np.ndarray,
-                     model: BarrierModel) -> np.ndarray:
-    """Interior piece of the plus-family solution on a <= x <= b."""
-    a, b = model.a, model.b
-    if (not sol.degenerate) and abs(sol.kappa) * model.width > SMALL_PHASE:
-        alpha, beta = sol.sc_l if channel is Channel.LEFT else sol.sc_r
-        return (alpha * np.exp(1j * sol.kappa * (x - a))
-                + beta * np.exp(-1j * sol.kappa * (x - b)))
-    # Thin or threshold barrier: propagate boundary data with functions of
-    # kappa^2 alone, exact down to kappa = 0.
-    ik = 1j * sol.k
+    Rows follow the energies of the matching solution sol, columns the
+    positions x; see the module docstring for the two interior routes.
+    """
+    k = sol.k
+    rows = np.empty((k.size, x.size), dtype=complex)
+    left = x < model.a
+    right = x > model.b
+    mid = ~(left | right)
     if channel is Channel.LEFT:
-        x0 = a
-        e_p = np.exp(ik * a)
-        psi0 = e_p + sol.r_l / e_p
-        dpsi0 = ik * (e_p - sol.r_l / e_p)
+        ph = np.outer(k, x[left])
+        rows[:, left] = np.exp(1j * ph) + sol.r_l[:, None] * np.exp(-1j * ph)
+        rows[:, right] = sol.t[:, None] * np.exp(1j * np.outer(k, x[right]))
     else:
-        x0 = b
-        e_m = np.exp(-ik * b)
-        psi0 = e_m + sol.r_r / e_m
-        dpsi0 = -ik * e_m + ik * sol.r_r / e_m
-    dx = x - x0
-    z = sol.kappa * dx
-    return psi0 * np.cos(z) + dpsi0 * dx * _sinc_arr(z)
+        ph = np.outer(k, x[right])
+        rows[:, right] = np.exp(-1j * ph) + sol.r_r[:, None] * np.exp(1j * ph)
+        rows[:, left] = sol.t[:, None] * np.exp(-1j * np.outer(k, x[left]))
+    xm = x[mid]
+    kappa = sol.kappa[:, None]
+    prop = sol.degenerate | (np.abs(sol.kappa) * model.width <= SMALL_PHASE)
+    expo = ~prop
+    if expo.any():
+        alpha, beta = sol.sc_l if channel is Channel.LEFT else sol.sc_r
+        kx = kappa[expo]
+        rows[np.ix_(expo, mid)] = (
+            alpha[expo, None] * np.exp(1j * kx * (xm - model.a))
+            + beta[expo, None] * np.exp(-1j * kx * (xm - model.b)))
+    if prop.any():
+        # Thin or threshold barrier: propagate boundary data with functions
+        # of kappa^2 alone, exact down to kappa = 0.
+        ik = 1j * k[prop, None]
+        if channel is Channel.LEFT:
+            x0 = model.a
+            r = sol.r_l[prop, None]
+            e_p = np.exp(ik * x0)
+            psi0 = e_p + r / e_p
+            dpsi0 = ik * (e_p - r / e_p)
+        else:
+            x0 = model.b
+            r = sol.r_r[prop, None]
+            e_m = np.exp(-ik * x0)
+            psi0 = e_m + r / e_m
+            dpsi0 = -ik * e_m + ik * r / e_m
+        dx = xm - x0
+        z = kappa[prop] * dx
+        rows[np.ix_(prop, mid)] = psi0 * np.cos(z) + dpsi0 * dx * _sinc(z)
+    if sign is SignLabel.MINUS:
+        rows = np.conj(rows)
+    if include_prefactor:
+        rows = rows * energy_prefactor(model, k)[:, None]
+    return rows
 
 
 def scattering_wave(model: BarrierModel, energy: float, channel: Channel,
                     sign: SignLabel, x, include_prefactor: bool = True) -> np.ndarray:
     """Evaluate one generalized energy eigenfunction on an array of points."""
-    sol = solve_matching(model, energy)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty(x_arr.shape, dtype=complex)
-    a, b = model.a, model.b
-    left = x_arr < a
-    right = x_arr > b
-    mid = ~(left | right)
-    ik = 1j * sol.k
-    if channel is Channel.LEFT:
-        xl = x_arr[left]
-        out[left] = np.exp(ik * xl) + sol.r_l * np.exp(-ik * xl)
-        out[right] = sol.t * np.exp(ik * x_arr[right])
-    else:
-        out[left] = sol.t * np.exp(-ik * x_arr[left])
-        xr = x_arr[right]
-        out[right] = np.exp(-ik * xr) + sol.r_r * np.exp(ik * xr)
-    if mid.any():
-        out[mid] = _interior_values(sol, channel, x_arr[mid], model)
-    if sign is SignLabel.MINUS:
-        out = np.conj(out)
-    if include_prefactor:
-        out = out * energy_prefactor(model, sol.k)
+    sol = _solve(model, np.array([float(energy)]))
+    out = _wave_grid(model, sol, channel, sign, x_arr.ravel(),
+                     include_prefactor)[0].reshape(x_arr.shape)
     if np.ndim(x) == 0:
         return out[0]
     return out
-
-
-@dataclass(frozen=True)
-class EigenfunctionHandle:
-    """One (energy, channel, sign) eigenfunction with its matching data cached."""
-
-    model: BarrierModel
-    energy: float
-    channel: Channel
-    sign: SignLabel
-    solution: ScatteringSolution
-
-    @classmethod
-    def create(cls, model: BarrierModel, energy: float, channel: Channel,
-               sign: SignLabel) -> "EigenfunctionHandle":
-        return cls(model=model, energy=float(energy), channel=channel, sign=sign,
-                   solution=solve_matching(model, energy))
-
-
-def eval_energy_eigenfunction(handle: EigenfunctionHandle, x) -> np.ndarray:
-    return scattering_wave(handle.model, handle.energy, handle.channel,
-                           handle.sign, x)
 
 
 def eval_plane_wave(model: BarrierModel, p: float, x) -> np.ndarray:

@@ -82,6 +82,8 @@ class BarrierModel:
 class WaveNumbers:
     """Exterior wave number k (real) and interior wave number kappa.
 
+    Scalars for one energy, arrays of the same shape for an energy array.
+
     kappa is the principal square root of kappa_sq = 2 m (E - v0) / hbar^2,
     taken with Im kappa >= 0, so evanescent interior waves decay away from
     the step they were matched at.
@@ -92,20 +94,24 @@ class WaveNumbers:
     kappa_sq: float
 
 
-def wave_numbers(model: BarrierModel, energy: float) -> WaveNumbers:
-    """Wave numbers for a scattering energy E > 0.
+def wave_numbers(model: BarrierModel, energy) -> WaveNumbers:
+    """Wave numbers for scattering energies E > 0.
 
+    Accepts a scalar or an array of energies; the fields follow its shape.
     Raises DomainError at or below the bottom of the continuous spectrum.
     """
-    if not (math.isfinite(energy) and energy > 0.0):
-        raise DomainError(f"energy must be > 0, got {energy}")
+    e = np.asarray(energy, dtype=float)
+    bad = ~(np.isfinite(e) & (e > 0.0))
+    if bad.any():
+        raise DomainError(f"energy must be > 0, got {e[bad].flat[0]}")
     two_m = 2.0 * model.mass
-    k = math.sqrt(two_m * energy) / model.hbar
-    kappa_sq = two_m * (energy - model.v0) / model.hbar**2
-    if kappa_sq >= 0.0:
-        kappa = complex(math.sqrt(kappa_sq), 0.0)
-    else:
-        kappa = complex(0.0, math.sqrt(-kappa_sq))
+    k = np.sqrt(two_m * e) / model.hbar
+    kappa_sq = two_m * (e - model.v0) / model.hbar**2
+    root = np.sqrt(np.abs(kappa_sq))
+    kappa = np.where(kappa_sq >= 0.0, root + 0j, 1j * root)
+    if e.ndim == 0:
+        return WaveNumbers(k=float(k), kappa=complex(kappa),
+                           kappa_sq=float(kappa_sq))
     return WaveNumbers(k=k, kappa=kappa, kappa_sq=kappa_sq)
 
 

@@ -8,15 +8,18 @@ amplitudes are additionally extracted in the interface-scaled basis
 the barrier for Im kappa >= 0; that representation is what downstream
 evaluation uses when the barrier is opaque, where the textbook basis
 {exp(+-i kappa x)} would demand catastrophic cancellation.
+
+One kernel solves a whole array of energies at once and returns a
+ScatteringSolution with array fields; it raises ConditioningError or
+DomainError when any energy triggers them.  solve_matching and s_matrix are
+its one-energy views.  Nothing is cached: callers that need many energies
+pass them in one array.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -57,14 +60,16 @@ class SignLabel(Enum):
 
 @dataclass(frozen=True)
 class ScatteringSolution:
-    """Matching data of both incidence channels at one energy.
+    """Matching data of both incidence channels.
 
-    t, r_l, r_r are the transmission and reflection amplitudes.  a_l, b_l,
-    a_r, b_r are the interior amplitudes in the basis {e^{i kappa x},
-    e^{-i kappa x}}; they are NaN inside the degenerate shell around the
-    barrier top, where that basis ceases to exist (interior values remain
-    available through the propagator route).  sc_l / sc_r hold the same
-    interior data in the interface-scaled basis.
+    solve_matching returns one energy with scalar fields; the array kernel
+    behind it returns the same fields as arrays over its energies.  t, r_l,
+    r_r are the transmission and reflection amplitudes.  a_l, b_l, a_r, b_r
+    are the interior amplitudes in the basis {e^{i kappa x}, e^{-i kappa x}};
+    they are NaN inside the degenerate shell around the barrier top, where
+    that basis ceases to exist (interior values remain available through
+    the propagator route).  sc_l / sc_r hold the same interior data in the
+    interface-scaled basis.
     """
 
     energy: float
@@ -83,85 +88,96 @@ class ScatteringSolution:
     degenerate: bool
 
 
-def _sinc_scalar(z: complex) -> complex:
-    if abs(z) < 1e-4:
-        z2 = z * z
-        return 1.0 - z2 / 6.0 * (1.0 - z2 / 20.0)
-    return cmath.sin(z) / z
+def _sinc(z):
+    """sin(z) / z on complex arrays, by its Taylor series near 0."""
+    small = np.abs(z) < 1e-4
+    safe = np.where(small, 1.0, z)
+    z2 = z * z
+    return np.where(small, 1.0 - z2 / 6.0 * (1.0 - z2 / 20.0),
+                    np.sin(safe) / safe)
 
 
-@lru_cache(maxsize=65536)
-def _solve_cached(model: BarrierModel, energy: float) -> ScatteringSolution:
-    wn = wave_numbers(model, energy)
+def _check_matching(c_in, energies, side: str) -> None:
+    bad = ~(np.isfinite(c_in) & (np.abs(c_in) > 1e-12))
+    if bad.any():
+        raise ConditioningError(
+            f"{side} matching system is singular at E={energies[bad][0]}")
+
+
+def _solve(model: BarrierModel, energies: np.ndarray) -> ScatteringSolution:
+    """Matching data at every energy of a 1-D array, as array fields."""
+    energies = np.asarray(energies, dtype=float)
+    wn = wave_numbers(model, energies)
     k, kappa, kappa_sq = wn.k, wn.kappa, wn.kappa_sq
     a, b, d = model.a, model.b, model.width
-    if kappa.imag * d > 690.0:
+    opacity = kappa.imag * d
+    if np.any(opacity > 690.0):
         raise ConditioningError(
-            f"barrier opacity |Im kappa|*width = {kappa.imag * d:.1f} exceeds "
+            f"barrier opacity |Im kappa|*width = {opacity.max():.1f} exceeds "
             "floating-point range")
 
-    zc = cmath.cos(kappa * d)
-    zs = d * _sinc_scalar(kappa * d)
+    zc = np.cos(kappa * d)
+    zs = d * _sinc(kappa * d)
     ik = 1j * k
 
     # Left incidence: unit transmitted wave at b, propagated back to a.
-    eb = cmath.exp(ik * b)
+    eb = np.exp(ik * b)
     psi_b, dpsi_b = eb, ik * eb
     psi_a = zc * psi_b - zs * dpsi_b
     dpsi_a = kappa_sq * zs * psi_b + zc * dpsi_b
-    ea = cmath.exp(ik * a)
+    ea = np.exp(ik * a)
     c_in = 0.5 * (psi_a + dpsi_a / ik) / ea
     c_ref = 0.5 * (psi_a - dpsi_a / ik) * ea
-    if not (cmath.isfinite(c_in) and abs(c_in) > 1e-12):
-        raise ConditioningError(f"left matching system is singular at E={energy}")
+    _check_matching(c_in, energies, "left")
     t = 1.0 / c_in
     r_l = c_ref / c_in
 
     # Right incidence: unit transmitted wave at a, propagated forward to b.
-    ea_m = cmath.exp(-ik * a)
+    ea_m = np.exp(-ik * a)
     psi_a2, dpsi_a2 = ea_m, -ik * ea_m
     psi_b2 = zc * psi_a2 + zs * dpsi_a2
     dpsi_b2 = -kappa_sq * zs * psi_a2 + zc * dpsi_a2
     c_in2 = 0.5 * (psi_b2 - dpsi_b2 / ik) * eb
     c_ref2 = 0.5 * (psi_b2 + dpsi_b2 / ik) / eb
-    if not (cmath.isfinite(c_in2) and abs(c_in2) > 1e-12):
-        raise ConditioningError(f"right matching system is singular at E={energy}")
+    _check_matching(c_in2, energies, "right")
     t2 = 1.0 / c_in2
     r_r = c_ref2 / c_in2
 
-    degenerate = abs(energy - model.v0) <= _DEGENERATE_RTOL * max(1.0, model.v0)
-    nan = complex(float("nan"), float("nan"))
-    if degenerate:
-        sc_l = (nan, nan)
-        sc_r = (nan, nan)
-        a_l = b_l = a_r = b_r = nan
-    else:
-        ikap = 1j * kappa
-        # Each scaled amplitude is read off at the interface where its basis
-        # function is O(1): no growing exponentials enter.
-        alpha_l = 0.5 * (psi_a + dpsi_a / ikap) * t
-        beta_l = 0.5 * eb * (1.0 - k / kappa) * t
-        alpha_r = 0.5 * ea_m * (1.0 - k / kappa) * t2
-        beta_r = 0.5 * (psi_b2 - dpsi_b2 / ikap) * t2
-        sc_l = (alpha_l, beta_l)
-        sc_r = (alpha_r, beta_r)
-        ph_a = cmath.exp(-ikap * a)
-        ph_b = cmath.exp(ikap * b)
-        a_l = alpha_l * ph_a
-        b_l = beta_l * ph_b
-        a_r = alpha_r * ph_a
-        b_r = beta_r * ph_b
+    degenerate = np.abs(energies - model.v0) <= _DEGENERATE_RTOL * max(1.0, model.v0)
+    # Degenerate rows divide by a stand-in kappa and are overwritten by NaN.
+    kap = np.where(degenerate, 1.0, kappa)
+    ikap = 1j * kap
+    # Each scaled amplitude is read off at the interface where its basis
+    # function is O(1): no growing exponentials enter.
+    alpha_l = 0.5 * (psi_a + dpsi_a / ikap) * t
+    beta_l = 0.5 * eb * (1.0 - k / kap) * t
+    alpha_r = 0.5 * ea_m * (1.0 - k / kap) * t2
+    beta_r = 0.5 * (psi_b2 - dpsi_b2 / ikap) * t2
+    ph_a = np.exp(-ikap * a)
+    ph_b = np.exp(ikap * b)
+
+    def interior(v):
+        return np.where(degenerate, complex(np.nan, np.nan), v)
 
     return ScatteringSolution(
-        energy=energy, k=k, kappa=kappa, kappa_sq=kappa_sq,
+        energy=energies, k=k, kappa=kappa, kappa_sq=kappa_sq,
         t=t, r_l=r_l, r_r=r_r,
-        a_l=a_l, b_l=b_l, a_r=a_r, b_r=b_r,
-        sc_l=sc_l, sc_r=sc_r, degenerate=degenerate)
+        a_l=interior(alpha_l * ph_a), b_l=interior(beta_l * ph_b),
+        a_r=interior(alpha_r * ph_a), b_r=interior(beta_r * ph_b),
+        sc_l=(interior(alpha_l), interior(beta_l)),
+        sc_r=(interior(alpha_r), interior(beta_r)),
+        degenerate=degenerate)
 
 
 def solve_matching(model: BarrierModel, energy: float) -> ScatteringSolution:
     """Match plane waves across the barrier at energy E > 0."""
-    return _solve_cached(model, float(energy))
+    sol = _solve(model, np.array([float(energy)]))
+
+    def item(v):
+        return tuple(item(p) for p in v) if isinstance(v, tuple) else v[0].item()
+
+    return ScatteringSolution(**{f.name: item(getattr(sol, f.name))
+                                 for f in fields(sol)})
 
 
 def s_matrix(model: BarrierModel, energy: float) -> np.ndarray:

@@ -437,16 +437,6 @@ def build_test_function(model: BarrierModel, packet: GaussianPacket,
     return TestFunction(model, (term,), order_cap=order_cap)
 
 
-def _unwindowed_packet(model: BarrierModel, center: float, width: float,
-                       momentum: float = 0.0, poly_degree: int = 0) -> TestFunction:
-    """Packet without window factors.  Internal: closed-form cross-checks only."""
-    poly = (0j,) * poly_degree + (1.0 + 0j,)
-    term = Term(coeff=1.0 + 0j, poly=poly,
-                rpoles=(), cpoles=(), phase=momentum / model.hbar,
-                gauss=(center, width), windows=(), region=None)
-    return TestFunction(model, (term,))
-
-
 def slow_decay_example(model: BarrierModel) -> TestFunction:
     """g(x) = 1/(x + i): square-integrable, but x g(x) is not.
 

@@ -26,8 +26,9 @@ quadrature tolerance (the chopping test of Aurentz and Trefethen, ACM TOMS
 43, 2017); otherwise it is bisected, and its probes become nodes of its
 halves.  The amplitude is reassembled as sum of panels(k) * exp(i s k x0)
 terms times the spectral prefactor.  The barrier interior, when it meets the
-support, is one extra piece evaluated directly per wave number; it is short,
-so it is slow in k.
+support, is one more piece, integrated against the eigenfunction itself in
+one batched integral per chunk of wave numbers; it is short, so it is slow
+in k.
 
 An expansion truncated at k_max cannot see the part of f beyond the cutoff.
 After each build the mass of that part is bounded from the amplitudes at the
@@ -57,8 +58,8 @@ from .quadrature import (
     integrate_line,
     integrate_line_batch,
 )
-from .scattering import Channel, SignLabel, solve_matching
-from .eigenbasis import energy_prefactor, scattering_wave
+from .scattering import Channel, SignLabel, _solve
+from .eigenbasis import _wave_grid, energy_prefactor
 from .testspace import TestFunction, apply_observable, evaluate, inner_product
 
 __all__ = [
@@ -262,56 +263,42 @@ def _channel_pieces(model: BarrierModel, channel: Channel, lo: float, hi: float,
     return out
 
 
-def _coefficient(model: BarrierModel, channel: Channel, kind: str, k: float,
-                 hbar: float, mass: float) -> complex:
-    if kind == "one":
-        return 1.0 + 0j
-    energy = (hbar * k) ** 2 / (2.0 * mass)
-    sol = solve_matching(model, energy)
-    if kind == "trans":
-        return sol.t
-    return sol.r_l if channel is Channel.LEFT else sol.r_r
-
-
 def _piece_direct(model: BarrierModel, f: TestFunction, piece: _Piece,
                   channel: Channel, sign: SignLabel, k_arr: np.ndarray,
                   spec: QuadratureSpec) -> np.ndarray:
     """Direct piece values at the given wave numbers, conjugation folded in."""
     lo, hi = piece.region
-    hbar, mass = model.hbar, model.mass
     conjugate = sign is SignLabel.PLUS
-    out = np.empty(k_arr.size, dtype=complex)
-    if piece.s == 0:
-        for i, k in enumerate(k_arr):
-            energy = (hbar * k) ** 2 / (2.0 * mass)
-
-            def g(x, energy=energy):
-                w = scattering_wave(model, energy, channel, SignLabel.PLUS, x,
-                                    include_prefactor=False)
-                w = np.conj(w) if conjugate else w
-                return w * evaluate(f, x)
-
-            res = integrate_line(g, spec, lo=lo, hi=hi,
-                                 freq_hint=k + f.max_phase())
-            out[i] = res.value
-        return out
-    s_eff = piece.s
+    # The plus analysis integrates against conj(plus wave) = minus wave.
+    family = SignLabel.MINUS if conjugate else SignLabel.PLUS
     phase = f.max_phase()
+    s_eff = piece.s
+    out = np.empty(k_arr.size, dtype=complex)
     for start in range(0, k_arr.size, _K_CHUNK):
         chunk = k_arr[start:start + _K_CHUNK]
+        sol = _solve(model, (model.hbar * chunk) ** 2 / (2.0 * model.mass))
+        if s_eff == 0:
 
-        def g(x, chunk=chunk):
-            return evaluate(f, x)[:, None] * np.exp(
-                1j * s_eff * np.outer(x, chunk))
+            def g(x, sol=sol):
+                return evaluate(f, x)[:, None] * _wave_grid(
+                    model, sol, channel, family, x, include_prefactor=False).T
+
+        else:
+
+            def g(x, chunk=chunk):
+                return evaluate(f, x)[:, None] * np.exp(
+                    1j * s_eff * np.outer(x, chunk))
 
         vals, _, _ = integrate_line_batch(
             g, spec, lo=lo, hi=hi, freq_hint=float(chunk.max()) + phase)
-        coeff = np.array([_coefficient(model, channel, piece.coeff, k, hbar, mass)
-                          for k in chunk])
-        if conjugate:
-            coeff = np.conj(coeff)
-        out[start:start + chunk.size] = (
-            vals * coeff * np.exp(-1j * s_eff * piece.demod * chunk))
+        if s_eff:
+            coeff = {"one": 1.0, "trans": sol.t,
+                     "refl": sol.r_l if channel is Channel.LEFT else sol.r_r,
+                     }[piece.coeff]
+            if conjugate:
+                coeff = np.conj(coeff)
+            vals = vals * coeff * np.exp(-1j * s_eff * piece.demod * chunk)
+        out[start:start + chunk.size] = vals
     return out
 
 
@@ -494,48 +481,6 @@ def energy_transform(f: TestFunction, sign: SignLabel,
     return amp
 
 
-def _wave_rows(model: BarrierModel, sign: SignLabel, channel: Channel,
-               k: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Eigenfunction values on a (wave numbers) x (positions) grid.
-
-    Exterior columns are assembled from coefficient arrays; columns inside
-    the barrier fall back to the per-energy evaluator.
-    """
-    hbar, mass = model.hbar, model.mass
-    energies = (hbar * k) ** 2 / (2.0 * mass)
-    t_arr = np.empty(k.size, dtype=complex)
-    r_arr = np.empty(k.size, dtype=complex)
-    for i, e in enumerate(energies):
-        sol = solve_matching(model, e)
-        t_arr[i] = sol.t
-        r_arr[i] = sol.r_l if channel is Channel.LEFT else sol.r_r
-    rows = np.zeros((k.size, x.size), dtype=complex)
-    left = x < model.a
-    right = x > model.b
-    mid = ~(left | right)
-    if channel is Channel.LEFT:
-        if left.any():
-            ph = np.outer(k, x[left])
-            rows[:, left] = np.exp(1j * ph) + r_arr[:, None] * np.exp(-1j * ph)
-        if right.any():
-            rows[:, right] = t_arr[:, None] * np.exp(1j * np.outer(k, x[right]))
-    else:
-        if right.any():
-            ph = np.outer(k, x[right])
-            rows[:, right] = np.exp(-1j * ph) + r_arr[:, None] * np.exp(1j * ph)
-        if left.any():
-            rows[:, left] = t_arr[:, None] * np.exp(-1j * np.outer(k, x[left]))
-    if mid.any():
-        xm = x[mid]
-        for i, e in enumerate(energies):
-            rows[i, mid] = scattering_wave(model, e, channel, SignLabel.PLUS,
-                                           xm, include_prefactor=False)
-    if sign is SignLabel.MINUS:
-        rows = np.conj(rows)
-    pref = energy_prefactor(model, k)
-    return rows * pref[:, None]
-
-
 def synthesize_energy(amp: EnergyAmplitude, x, spec: QuadratureSpec,
                       channels=(Channel.LEFT, Channel.RIGHT)):
     """Reconstruct position values from spectral amplitudes.
@@ -549,11 +494,11 @@ def synthesize_energy(amp: EnergyAmplitude, x, spec: QuadratureSpec,
     hbar, mass = model.hbar, model.mass
 
     def g(e):
-        k = np.sqrt(2.0 * mass * e) / hbar
+        sol = _solve(model, e)
         total = np.zeros((e.size, x_arr.size), dtype=complex)
         for channel in channels:
             total += np.atleast_1d(amp.amplitude(e, channel))[:, None] * \
-                _wave_rows(model, amp.sign, channel, k, x_arr)
+                _wave_grid(model, sol, channel, amp.sign, x_arr)
         return total
 
     hint = float(np.max(np.abs(x_arr))) + amp.osc_hint
@@ -709,21 +654,15 @@ def parseval_defect(f: TestFunction, g: TestFunction, basis: str,
     """|(f, g) - overlap expanded in the chosen basis|.
 
     basis is one of "position", "momentum", "energy+", "energy-".  The
-    position case integrates the same product over the full window without
-    support clipping, so it probes only the quadrature itself.
+    position case integrates the same product over the union of the two
+    supports, where inner_product takes their intersection, so it probes
+    only the quadrature itself.
     """
     if f.model != g.model:
         raise DomainError("cannot pair functions over different models")
     direct = inner_product(f, g, spec)
     if basis == "position":
-        radius = spec.spatial_radius
-
-        def integrand(x):
-            return np.conj(evaluate(f, x)) * evaluate(g, x)
-
-        res = integrate_line(integrand, spec, lo=-radius, hi=radius,
-                             freq_hint=f.max_phase() + g.max_phase())
-        expanded = res.value
+        expanded = _position_overlap(f, g, spec)
     elif basis == "momentum":
         expanded = _momentum_overlap(f, g, spec)
     elif basis == "energy+":

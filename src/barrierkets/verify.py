@@ -22,7 +22,8 @@ from .errors import CapabilityError, DomainError
 from .model import BarrierModel, Observable
 from .quadrature import QuadratureSpec, integrate_energy_batch, integrate_line, \
     integrate_line_batch
-from .scattering import Channel, SignLabel
+from .scattering import Channel, SignLabel, _solve
+from .eigenbasis import _wave_grid
 from .testspace import (
     GaussianPacket,
     TestFunction,
@@ -33,7 +34,7 @@ from .testspace import (
     lincomb,
     slow_decay_example,
 )
-from .transforms import _wave_rows, energy_transform, momentum_transform
+from .transforms import energy_transform, momentum_transform
 
 __all__ = [
     "ResidualReport",
@@ -176,6 +177,7 @@ def check_eigenbra_conjugation(model: BarrierModel, energy: float,
     if not energy > 0.0:
         raise DomainError("the spectrum of H is E > 0")
     k = math.sqrt(2.0 * model.mass * energy) / model.hbar
+    sol = _solve(model, np.array([float(energy)]))
     witnesses = []
     worst = 0.0
     for i, f in enumerate(battery):
@@ -187,7 +189,7 @@ def check_eigenbra_conjugation(model: BarrierModel, energy: float,
         hi = min(bounds[1], spec.spatial_radius) if bounds else spec.spatial_radius
 
         def bra_integrand(x):
-            rows = _wave_rows(model, sign, channel, np.array([k]), x)
+            rows = _wave_grid(model, sol, channel, sign, x)
             return np.conj(evaluate(f, x)) * rows[0]
 
         if hi > lo:
@@ -237,8 +239,8 @@ def _delta_energy(model: BarrierModel, sign: SignLabel, probe, channel: Channel,
 
     def psi_rows(x):
         def g(e):
-            k = np.sqrt(2.0 * mass * e) / hbar
-            return amp_in(e)[:, None] * _wave_rows(model, sign, channel, k, x)
+            return amp_in(e)[:, None] * _wave_grid(model, _solve(model, e),
+                                                   channel, sign, x)
 
         vals, _, _ = integrate_energy_batch(
             g, ispec, hbar=hbar, mass=mass, e_lo=e_lo, e_hi=e_hi,
@@ -246,17 +248,17 @@ def _delta_energy(model: BarrierModel, sign: SignLabel, probe, channel: Channel,
         return vals
 
     grid = np.linspace(center - 2.0 * width, center + 2.0 * width, 11)
-    k_grid = np.sqrt(2.0 * mass * grid) / hbar
+    sol = _solve(model, grid)
     out = {}
     for ch in (Channel.LEFT, Channel.RIGHT):
 
         def integrand(x, ch=ch):
-            rows = _wave_rows(model, sign, ch, k_grid, x)
+            rows = _wave_grid(model, sol, ch, sign, x)
             return np.conj(rows).T * psi_rows(x)[:, None]
 
         vals, _, _ = integrate_line_batch(
             integrand, ispec, lo=-radius, hi=radius,
-            freq_hint=float(k_grid.max()) + k0)
+            freq_hint=float(sol.k.max()) + k0)
         out[ch] = vals
     same = np.abs(out[channel] - amp_in(grid))
     other = Channel.RIGHT if channel is Channel.LEFT else Channel.LEFT

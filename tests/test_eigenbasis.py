@@ -8,10 +8,8 @@ import pytest
 from barrierkets import (
     BarrierModel,
     Channel,
-    EigenfunctionHandle,
     SignLabel,
     energy_prefactor,
-    eval_energy_eigenfunction,
     eval_plane_wave,
     potential_at,
     scattering_wave,
@@ -115,11 +113,3 @@ def test_values_at_steps_are_finite():
                                np.array([m.a, m.b]))
         assert np.all(np.isfinite(vals))
 
-
-def test_handle_round_trip():
-    m = BarrierModel()
-    handle = EigenfunctionHandle.create(m, 1.9, Channel.RIGHT, SignLabel.MINUS)
-    x = np.linspace(-2.0, 3.0, 17)
-    direct = scattering_wave(m, 1.9, Channel.RIGHT, SignLabel.MINUS, x)
-    assert np.array_equal(eval_energy_eigenfunction(handle, x), direct)
-    assert handle.solution.energy == pytest.approx(1.9)

@@ -31,6 +31,7 @@ def test_import_loads_no_scipy():
     "02_eigenfunctions.py",
     "03_wave_packets.py",
     "04_expansion_round_trip.py",
+    "05_identity_checks.py",
     "06_spectral_probabilities.py",
 ])
 def test_demo_runs(demo):
