@@ -28,8 +28,8 @@ from .model import BarrierModel
 from .quadrature import QuadratureSpec
 from .scattering import Channel, SignLabel, _solve
 from .eigenbasis import scattering_wave
-from .testspace import GaussianPacket, build_test_function, evaluate, \
-    inner_product
+from .testspace import GaussianPacket, _support, build_test_function, \
+    evaluate, inner_product
 from .transforms import energy_transform, spectral_probability, \
     synthesize_energy
 from .verify import SUITE_CHECK_NAMES, run_default_suite
@@ -266,9 +266,7 @@ def cmd_reconstruct(args) -> int:
     if count < 2:
         raise UsageError("need at least two probe points")
     f = build_test_function(model, packet)
-    bounds = f.support_interval(spec.spatial_radius)
-    lo = max(bounds[0], -spec.spatial_radius) if bounds else -spec.spatial_radius
-    hi = min(bounds[1], spec.spatial_radius) if bounds else spec.spatial_radius
+    lo, hi = _support(f, spec)
     probes = np.linspace(lo, hi, count)
     amp = energy_transform(f, sign, spec)
     recon = synthesize_energy(amp, probes, spec)

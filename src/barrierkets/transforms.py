@@ -60,7 +60,7 @@ from .quadrature import (
 )
 from .scattering import Channel, SignLabel, _solve
 from .eigenbasis import _wave_grid, energy_prefactor
-from .testspace import TestFunction, apply_observable, evaluate, inner_product
+from .testspace import TestFunction, _support, evaluate, inner_product
 
 __all__ = [
     "EnergyAmplitude",
@@ -115,15 +115,6 @@ def _inner_spec(spec: QuadratureSpec, relax: float = 1.0) -> QuadratureSpec:
     # floor must sit well below the midpoint tolerance.
     tol = relax * _piece_tol(spec)
     return drep(spec, abs_tol=tol / 8.0, rel_tol=1e-14)
-
-
-def _support(f: TestFunction, spec: QuadratureSpec):
-    bounds = f.support_interval(spec.spatial_radius)
-    if bounds is None:
-        return -spec.spatial_radius, spec.spatial_radius
-    lo = max(bounds[0], -spec.spatial_radius)
-    hi = min(bounds[1], spec.spatial_radius)
-    return lo, hi
 
 
 def _amplitude_scale(f: TestFunction, lo: float, hi: float) -> float:
@@ -598,11 +589,9 @@ def synthesize_momentum(amp: MomentumAmplitude, x, spec: QuadratureSpec):
 def _position_overlap(f: TestFunction, g: TestFunction, spec: QuadratureSpec,
                       weight_power: int = 0) -> complex:
     """Integral of conj(f) x^power g over the union of supports."""
-    fb = f.support_interval(spec.spatial_radius)
-    gb = g.support_interval(spec.spatial_radius)
-    radius = spec.spatial_radius
-    lo = max(-radius, min(fb[0] if fb else -radius, gb[0] if gb else -radius))
-    hi = min(radius, max(fb[1] if fb else radius, gb[1] if gb else radius))
+    lo_f, hi_f = _support(f, spec)
+    lo_g, hi_g = _support(g, spec)
+    lo, hi = min(lo_f, lo_g), max(hi_f, hi_g)
     if hi <= lo:
         return 0j
 

@@ -27,6 +27,7 @@ from .eigenbasis import _wave_grid
 from .testspace import (
     GaussianPacket,
     TestFunction,
+    _support,
     apply_observable,
     build_test_function,
     evaluate,
@@ -115,9 +116,8 @@ def _norm(f: TestFunction, spec: QuadratureSpec) -> float:
 
 
 def _packet_label(i: int, f: TestFunction) -> str:
-    gausses = [t.gauss for t in f.terms if t.gauss is not None]
-    if gausses:
-        c, w = gausses[0]
+    if f.terms:
+        c, w = f.terms[0].gauss
         return f"packet[{i}] center={c:g} width={w:g}"
     return f"packet[{i}]"
 
@@ -184,9 +184,7 @@ def check_eigenbra_conjugation(model: BarrierModel, energy: float,
         if f.model != model:
             raise DomainError("battery member built over a different model")
         amp = energy_transform(f, sign, spec).amplitude(energy, channel)
-        bounds = f.support_interval(spec.spatial_radius)
-        lo = max(bounds[0], -spec.spatial_radius) if bounds else -spec.spatial_radius
-        hi = min(bounds[1], spec.spatial_radius) if bounds else spec.spatial_radius
+        lo, hi = _support(f, spec)
 
         def bra_integrand(x):
             rows = _wave_grid(model, sol, channel, sign, x)
@@ -425,7 +423,6 @@ def check_non_member(model: BarrierModel, spec: QuadratureSpec) -> ResidualRepor
     stays stable.
     """
     g = slow_decay_example(model)
-    qg = apply_observable(Observable.Q, g)
     radii = [spec.spatial_radius, 2.0 * spec.spatial_radius,
              4.0 * spec.spatial_radius]
     norms_g = []
@@ -433,7 +430,7 @@ def check_non_member(model: BarrierModel, spec: QuadratureSpec) -> ResidualRepor
     for r in radii:
         res_g = integrate_line(lambda x: np.abs(evaluate(g, x)) ** 2 + 0j,
                                spec, lo=-r, hi=r)
-        res_qg = integrate_line(lambda x: np.abs(evaluate(qg, x)) ** 2 + 0j,
+        res_qg = integrate_line(lambda x: np.abs(x * evaluate(g, x)) ** 2 + 0j,
                                 spec, lo=-r, hi=r)
         norms_g.append(math.sqrt(res_g.value.real))
         norms_qg.append(math.sqrt(res_qg.value.real))

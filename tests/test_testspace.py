@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from barrierkets import (
     BarrierModel,
@@ -49,7 +49,7 @@ def test_values_match_closed_form(packet):
         assert abs(v - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
-@pytest.mark.parametrize("order", [1, 2, 3, 4, 6])
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 6, 10, 16])
 @pytest.mark.parametrize("x0", [-20.6, 0.42, 2.1])
 def test_derivatives_match_mpmath(order, x0):
     packet = GaussianPacket(center=-20.0, width=1.0, momentum=2.0)
@@ -193,6 +193,7 @@ def test_build_rejects_bad_packets():
                           allow_infinity=False),
        st.complex_numbers(max_magnitude=3.0, allow_nan=False,
                           allow_infinity=False))
+@example(0j, 2.2250738585e-313 + 0j)
 def test_lincomb_is_pointwise_linear(alpha, beta):
     f = build_test_function(MODEL, GaussianPacket(center=-20.0, width=1.0))
     g = build_test_function(MODEL, GaussianPacket(center=-19.0, width=2.0,
@@ -201,6 +202,12 @@ def test_lincomb_is_pointwise_linear(alpha, beta):
     xs = np.array([-21.0, -19.5, -18.0])
     expect = alpha * evaluate(f, xs) + beta * evaluate(g, xs)
     assert np.allclose(evaluate(h, xs), expect, rtol=1e-12, atol=1e-18)
+    # H acts linearly across both envelopes and the block clipped to [a, b].
+    xh = np.append(xs, 0.5 * (MODEL.a + MODEL.b))
+    hh = evaluate(apply_observable(Observable.H, h), xh)
+    expect_h = alpha * evaluate(apply_observable(Observable.H, f), xh) \
+        + beta * evaluate(apply_observable(Observable.H, g), xh)
+    assert np.max(np.abs(hh - expect_h)) <= 1e-10 * np.max(np.abs(expect_h))
 
 
 def test_scaled_multiplies_values():
