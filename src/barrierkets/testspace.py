@@ -68,6 +68,10 @@ _SUPPORT_CUTOFF_LOG = 41.5  # -ln(1e-18)
 # Rows times points per evaluation chunk (at most 2048 points): keeps the
 # row-by-point matrices in cache.
 _EVAL_CHUNK = 1 << 16
+# Distance from a Gaussian's center, in widths, beyond which a block is
+# exactly 0 in floating point: its envelope is below e^-1e300, and no pole,
+# polynomial or coefficient factor of doubles makes up for that.
+_FAR_WIDTHS = 1e150
 
 
 class _Block(NamedTuple):
@@ -172,7 +176,9 @@ def _block_values(blk: _Block, rows: _Rows, model: BarrierModel,
 
     The magnitude of each row's pole-times-envelope factor is one matrix
     product in log space and one real exp; its sign is (-1)^i left of a
-    times (-1)^j left of b.  At a step the value is zero by rule.
+    times (-1)^j left of b.  At a step the value is zero by rule, and so it
+    is _FAR_WIDTHS widths from the center, where the squares below would
+    overflow.
     """
     g, w = blk.gauss
     s2 = (WINDOW_SHARPNESS_FRACTION * model.width) ** 2
@@ -181,6 +187,9 @@ def _block_values(blk: _Block, rows: _Rows, model: BarrierModel,
     step = _EVAL_CHUNK // max(rows.i.size, 32)
     for lo in range(0, x.size, step):
         xc = x[lo:lo + step]
+        far = np.abs(xc - g) > _FAR_WIDTHS * w
+        if far.any():
+            xc = np.where(far, g, xc)
         da = xc - model.a
         db = xc - model.b
         dead = (da == 0.0) | (db == 0.0)
@@ -210,6 +219,7 @@ def _block_values(blk: _Block, rows: _Rows, model: BarrierModel,
         vals.imag = acc[1]
         if blk.phase:
             vals *= np.exp(1j * (blk.phase * xc))
+        vals[far] = 0.0
     return out
 
 

@@ -5,8 +5,8 @@ The energy analysis of f produces, per incidence channel, the amplitude
     amp(E, c) = integral of conj(u_c(x; E)) f(x) dx,
 
 with u_c the generalized eigenfunction.  Synthesis integrates the amplitudes
-against the eigenfunctions over the spectrum and reproduces f.  Every
-operation here reduces to line integrals handled by the quadrature module.
+against the eigenfunctions over the spectrum and reproduces f; it and the
+overlaps are line integrals handled by the quadrature module.
 
 Amplitude values are needed at thousands of quadrature nodes, so transforms
 build a certified interpolation cache.  The amplitude itself oscillates in k
@@ -15,20 +15,28 @@ very dense grid; instead the cache stores demodulated pieces.  Each exterior
 region of the eigenfunction contributes terms coeff(k) * exp(+-ikx), so the
 piece integrals
 
-    S(k) = coeff(k) * integral over region of exp(i s k x) f(x) dx * exp(-i s k x0)
+    S(k) = coeff(k) * integral over region of exp(i s k (x - x0)) f(x) dx,
 
-vary on the scale of the packet width only.  Each piece is interpolated by
-degree-16 Chebyshev polynomials on panels that cover [k_lo, k_max] (Trefethen,
-Approximation Theory and Approximation Practice, SIAM 2013).  A panel is
-accepted when the last two coefficients of its Chebyshev series and its
-error at two held-out probe points are below a fixed fraction of the
-quadrature tolerance (the chopping test of Aurentz and Trefethen, ACM TOMS
-43, 2017); otherwise it is bisected, and its probes become nodes of its
-halves.  The amplitude is reassembled as sum of panels(k) * exp(i s k x0)
-terms times the spectral prefactor.  The barrier interior, when it meets the
-support, is one more piece, integrated against the eigenfunction itself in
-one batched integral per chunk of wave numbers; it is short, so it is slow
-in k.
+x0 the middle of the region, vary on the scale of the packet width only.
+Each piece is interpolated by degree-16 Chebyshev polynomials on panels that
+cover [k_lo, k_max] (Trefethen, Approximation Theory and Approximation
+Practice, SIAM 2013).  A panel is accepted when the last two coefficients of
+its Chebyshev series and its error at two held-out probe points are below a
+fixed fraction of the quadrature tolerance (the chopping test of Aurentz and
+Trefethen, ACM TOMS 43, 2017); otherwise it is bisected, and its probes
+become nodes of its halves.  The amplitude is reassembled as sum of
+panels(k) * exp(i s k x0) terms times the spectral prefactor.  The barrier
+interior, when it meets the support, is one more piece, integrated against
+the eigenfunction itself; it is short, so it is slow in k.
+
+The spatial integrals behind every piece use one fixed rule per region of f:
+composite 32-point Gauss-Legendre panels, certified once at the top
+frequency k_max plus f's phase by comparing each panel with its halves on
+plane-wave probes (and, inside the barrier, eigenfunction probes) across
+[-k_max, k_max], and refined panel by panel.  f is sampled on the rule once,
+so a piece's values at any array of wave numbers are one product of the
+kernel matrix with the weighted samples.  The pieces of both channels and
+both sign families, and the momentum analysis, share the rules.
 
 An expansion truncated at k_max cannot see the part of f beyond the cutoff.
 After each build the mass of that part is bounded from the amplitudes at the
@@ -89,7 +97,6 @@ _INTERP_SAFETY = 5.0
 # lower panel edge is used (the spectral measure kills the neighborhood of
 # k = 0).
 _K_EPS_FRACTION = 1e-8
-_K_CHUNK = 256
 _NORM_PROBE_TOL = 1e-8
 # Chebyshev panels: polynomial degree, and the initial partition of one
 # panel per _SEED_WIDTH / L wave-number units, L the length of the region
@@ -104,17 +111,24 @@ _TAIL_POWER = 1.5
 _LOBATTO = np.sin(0.5 * np.pi * np.arange(-_DEGREE, _DEGREE + 1, 2) / _DEGREE)
 # Values at the nodes to Chebyshev coefficients.
 _TO_CHEB = np.linalg.inv(cheb.chebvander(_LOBATTO, _DEGREE))
+# Spatial rules (see _region_rule): Gauss-Legendre nodes per panel, the
+# phase one starting panel spans at the top frequency, and the number of
+# probe wave numbers per sign at which a rule is certified.
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(32)
+_PANEL_PHASE = 48.0
+_RULE_PROBES = 9
+# Kernel entries (wave numbers times nodes) formed at once.
+_BLOCK_ENTRIES = 1 << 18
 
 
 def _piece_tol(spec: QuadratureSpec) -> float:
     return _CACHE_TOL_FRACTION * spec.abs_tol / _PIECES_PER_CHANNEL
 
 
-def _inner_spec(spec: QuadratureSpec, relax: float = 1.0) -> QuadratureSpec:
+def _inner_spec(spec: QuadratureSpec) -> QuadratureSpec:
     # Piece integrals feed the interpolation error test, so their own noise
     # floor must sit well below the midpoint tolerance.
-    tol = relax * _piece_tol(spec)
-    return drep(spec, abs_tol=tol / 8.0, rel_tol=1e-14)
+    return drep(spec, abs_tol=_piece_tol(spec) / 8.0, rel_tol=1e-14)
 
 
 def _amplitude_scale(f: TestFunction, lo: float, hi: float) -> float:
@@ -254,43 +268,172 @@ def _channel_pieces(model: BarrierModel, channel: Channel, lo: float, hi: float,
     return out
 
 
-def _piece_direct(model: BarrierModel, f: TestFunction, piece: _Piece,
-                  channel: Channel, sign: SignLabel, k_arr: np.ndarray,
-                  spec: QuadratureSpec) -> np.ndarray:
-    """Direct piece values at the given wave numbers, conjugation folded in."""
-    lo, hi = piece.region
+class _Rule:
+    """Composite Gauss-Legendre rule on one region, with f sampled on it.
+
+    x holds the nodes and wf the weights times the scaled function there,
+    so the integral of f against any kernel over the region is
+    kernel(x) @ wf.
+    """
+
+    __slots__ = ("x", "wf")
+
+    def __init__(self, x: np.ndarray, wf: np.ndarray):
+        self.x = x
+        self.wf = wf
+
+
+_RULE_MEMO: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def _region_rule(f: TestFunction, fs: TestFunction, region, spec: QuadratureSpec
+                 ) -> _Rule:
+    """The certified rule of fs, f's scaled copy, on one region.
+
+    Memoized per (f, region, spec): the pieces of both channels and both
+    sign families, and the momentum analysis, share one rule per region.
+    """
+    rules = _RULE_MEMO.setdefault(f, {})
+    key = (region, spec)
+    if key not in rules:
+        rules[key] = _build_rule(fs, region, spec)
+    return rules[key]
+
+
+def _build_rule(fs: TestFunction, region, spec: QuadratureSpec) -> _Rule:
+    """See module docstring: one spatial rule, certified at the top frequency.
+
+    Starting panels span at most _PANEL_PHASE rad at k_max plus f's phase.
+    Each panel is compared with its two halves on probe kernels; panels
+    that block the target are replaced by their halves, whose samples are
+    kept.  The rule is accepted when, at every probe, the signed sum of the
+    panel differences is within the inner tolerance, or within 1e-14 of
+    the L1 norm of f when that is larger (the roundoff of the kernels'
+    phases).  Like an adaptive integral, a rule holds at most
+    max_subdivisions panels.
+    """
+    lo, hi = region
+    model = fs.model
+    ispec = _inner_spec(spec)
+    k = np.linspace(_K_EPS_FRACTION * spec.k_max, spec.k_max, _RULE_PROBES)
+    kappa = np.concatenate([-k[::-1], k])
+    center = 0.5 * (lo + hi)
+    # The probes are the kernels the rule will meet: plane waves of both
+    # signs, and inside the barrier the eigenfunctions themselves.
+    sol = None
+    if model.a <= lo and hi <= model.b:
+        sol = _solve(model, (model.hbar * k) ** 2 / (2.0 * model.mass))
+
+    def panels(a, b):
+        """Nodes, weights times fs and probe values of the panels [a, b]."""
+        half = 0.5 * (b - a)
+        x = (0.5 * (a + b))[:, None] + half[:, None] * _GL_X
+        wf = (half[:, None] * _GL_W) * evaluate(fs, x.ravel()).reshape(x.shape)
+        flat = x.ravel()
+        cols = [_cis(np.outer(flat - center, kappa))]
+        if sol is not None:
+            cols += [_wave_grid(model, sol, c, s, flat, include_prefactor=False).T
+                     for c in Channel for s in SignLabel]
+        kern = np.concatenate(cols, axis=1).reshape(x.shape + (-1,))
+        return x, wf, np.einsum("pn,pnb->pb", wf, kern)
+
+    n0 = max(1, math.ceil((hi - lo) * (spec.k_max + fs.max_phase())
+                          / _PANEL_PHASE))
+    edges = np.linspace(lo, hi, n0 + 1)
+    a, b = edges[:-1], edges[1:]
+    x, wf, val = panels(a, b)
+    # The two halves of each panel, interleaved: (panels, 2, ...).  Panels
+    # past the first `halved` have not been halved yet.
+    halves = [arr[:0, None].repeat(2, axis=1) for arr in (x, wf, val)]
+    while True:
+        halved = halves[0].shape[0]
+        fa, fb = a[halved:], b[halved:]
+        fm = 0.5 * (fa + fb)
+        new = panels(np.stack([fa, fm], axis=1).ravel(),
+                     np.stack([fm, fb], axis=1).ravel())
+        halves = [np.concatenate([h, n.reshape((-1, 2) + n.shape[1:])])
+                  for h, n in zip(halves, new)]
+        diff = val - halves[2].sum(axis=1)
+        target = max(ispec.abs_tol, ispec.rel_tol * float(np.abs(wf).sum()))
+        if np.all(np.abs(diff.sum(axis=0)) <= target):
+            break
+        # As in the adaptive quadrature: a panel blocks the target when its
+        # difference exceeds half of an equal share.
+        ratio = np.abs(diff).max(axis=1) / target
+        split = ratio > 1.0 / (2.0 * a.size)
+        if not split.any():
+            split[np.argsort(-ratio, kind="stable")[:max(1, a.size // 4)]] = True
+        if a.size + int(split.sum()) > spec.max_subdivisions:
+            raise AccuracyError(
+                f"spatial rule failed to reach tolerance with {a.size} panels",
+                error=float(np.abs(diff.sum(axis=0)).max()))
+        mid = 0.5 * (a[split] + b[split])
+        a = np.concatenate([a[~split], np.stack([a[split], mid], 1).ravel()])
+        b = np.concatenate([b[~split], np.stack([mid, b[split]], 1).ravel()])
+        x, wf, val = (np.concatenate([arr[~split], h[split].reshape(
+            (-1,) + h.shape[2:])]) for arr, h in zip((x, wf, val), halves))
+        halves = [h[~split] for h in halves]
+    order = np.argsort(a, kind="stable")
+    return _Rule(x[order].ravel(), wf[order].ravel())
+
+
+def _cis(phase: np.ndarray) -> np.ndarray:
+    """exp(i phase) for a real phase: one cos and one sin, no complex exp."""
+    out = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    return out
+
+
+def _apply_rule(rule: _Rule, k_arr: np.ndarray, kernel) -> np.ndarray:
+    """kernel(k) @ rule.wf over blocks of k_arr; kernel gives (k, nodes)."""
+    out = np.empty(k_arr.size, dtype=complex)
+    step = max(1, _BLOCK_ENTRIES // rule.x.size)
+    for start in range(0, k_arr.size, step):
+        chunk = k_arr[start:start + step]
+        out[start:start + chunk.size] = kernel(chunk) @ rule.wf
+    return out
+
+
+def _piece_direct(model: BarrierModel, rule: _Rule, piece: _Piece,
+                  channel: Channel, sign: SignLabel,
+                  k_arr: np.ndarray) -> np.ndarray:
+    """Piece values at the given wave numbers, conjugation folded in.
+
+    Each value is one product of a kernel with the region's rule: for the
+    interior piece the eigenfunction itself, for an exterior piece
+    exp(i s k (x - x0)), which carries the demodulation by the region's
+    centre x0, times the matching coefficient.
+    """
     conjugate = sign is SignLabel.PLUS
     # The plus analysis integrates against conj(plus wave) = minus wave.
     family = SignLabel.MINUS if conjugate else SignLabel.PLUS
-    phase = f.max_phase()
-    s_eff = piece.s
-    out = np.empty(k_arr.size, dtype=complex)
-    for start in range(0, k_arr.size, _K_CHUNK):
-        chunk = k_arr[start:start + _K_CHUNK]
-        sol = _solve(model, (model.hbar * chunk) ** 2 / (2.0 * model.mass))
-        if s_eff == 0:
 
-            def g(x, sol=sol):
-                return evaluate(f, x)[:, None] * _wave_grid(
-                    model, sol, channel, family, x, include_prefactor=False).T
+    def energies(k):
+        return (model.hbar * k) ** 2 / (2.0 * model.mass)
 
-        else:
+    if piece.s == 0:
+        return _apply_rule(rule, k_arr, lambda k: _wave_grid(
+            model, _solve(model, energies(k)), channel, family, rule.x,
+            include_prefactor=False))
+    shift = rule.x - piece.demod
+    vals = _apply_rule(rule, k_arr,
+                       lambda k: _cis(piece.s * np.outer(k, shift)))
+    if piece.coeff == "one":
+        return vals
+    sol = _solve(model, energies(k_arr))
+    coeff = sol.t if piece.coeff == "trans" else (
+        sol.r_l if channel is Channel.LEFT else sol.r_r)
+    return vals * (np.conj(coeff) if conjugate else coeff)
 
-            def g(x, chunk=chunk):
-                return evaluate(f, x)[:, None] * np.exp(
-                    1j * s_eff * np.outer(x, chunk))
 
-        vals, _, _ = integrate_line_batch(
-            g, spec, lo=lo, hi=hi, freq_hint=float(chunk.max()) + phase)
-        if s_eff:
-            coeff = {"one": 1.0, "trans": sol.t,
-                     "refl": sol.r_l if channel is Channel.LEFT else sol.r_r,
-                     }[piece.coeff]
-            if conjugate:
-                coeff = np.conj(coeff)
-            vals = vals * coeff * np.exp(-1j * s_eff * piece.demod * chunk)
-        out[start:start + chunk.size] = vals
-    return out
+def _momentum_direct(model: BarrierModel, rule: _Rule, demod: float,
+                     p_arr: np.ndarray) -> np.ndarray:
+    """Plane-wave amplitudes at the given momenta, demodulated by demod."""
+    shift = rule.x - demod
+    norm = 1.0 / math.sqrt(2.0 * math.pi * model.hbar)
+    return norm * _apply_rule(rule, p_arr, lambda p: _cis(
+        np.outer(p, shift) * (-1.0 / model.hbar)))
 
 
 class EnergyAmplitude:
@@ -439,32 +582,19 @@ def energy_transform(f: TestFunction, sign: SignLabel,
     fs = f if scale == 1.0 else f.scaled(1.0 / scale)
     k_lo = _K_EPS_FRACTION * spec.k_max
     tol = _piece_tol(spec)
-    cap = spec.max_subdivisions
     pieces = {}
     for channel in (Channel.LEFT, Channel.RIGHT):
         plist = _channel_pieces(model, channel, lo, hi, sign) if hi > lo else []
         for piece in plist:
+            rule = _region_rule(f, fs, piece.region, spec)
             n0 = _seed_panels(spec.k_max - k_lo,
                               piece.region[1] - piece.region[0])
-            # The loosened second pass keeps partially converged caches
-            # usable when an integrand sits near the roundoff floor.
-            for relax in (1.0, 8.0):
-                ispec = _inner_spec(spec, relax)
 
-                def direct(k_arr, piece=piece, channel=channel, ispec=ispec):
-                    return _piece_direct(model, fs, piece, channel, sign,
-                                         k_arr, ispec)
+            def direct(k_arr, piece=piece, channel=channel, rule=rule):
+                return _piece_direct(model, rule, piece, channel, sign, k_arr)
 
-                try:
-                    panels, npts, worst = _chebyshev_panels(
-                        direct, k_lo, spec.k_max, n0, relax * tol, cap)
-                    break
-                except AccuracyError:
-                    if relax != 1.0:
-                        raise
-            piece.panels = panels
-            piece.points = npts
-            piece.max_err = worst
+            piece.panels, piece.points, piece.max_err = _chebyshev_panels(
+                direct, k_lo, spec.k_max, n0, tol, spec.max_subdivisions)
         pieces[channel] = plist
     amp = EnergyAmplitude(model, sign, spec, pieces, scale)
     _certify_cutoff(amp, _energy_tail(amp), f, spec, "k_max")
@@ -532,35 +662,14 @@ def momentum_transform(f: TestFunction, direction: str = "analysis",
     tol = _CACHE_TOL_FRACTION * spec.abs_tol
     fscale = _amplitude_scale(f, lo, hi)
     fs = f if fscale == 1.0 else f.scaled(1.0 / fscale)
-    norm = 1.0 / math.sqrt(2.0 * math.pi * hbar)
-    phase = f.max_phase()
-    n0 = _seed_panels(2.0 * spec.k_max, hi - lo)
-    for relax in (1.0, 8.0):
-        ispec = _inner_spec(spec, relax)
+    rule = _region_rule(f, fs, (lo, hi), spec)
 
-        def direct(p_arr, ispec=ispec):
-            out = np.empty(p_arr.size, dtype=complex)
-            for start in range(0, p_arr.size, _K_CHUNK):
-                chunk = p_arr[start:start + _K_CHUNK]
+    def direct(p_arr):
+        return _momentum_direct(model, rule, demod, p_arr)
 
-                def g(x, chunk=chunk):
-                    return evaluate(fs, x)[:, None] * np.exp(
-                        -1j * np.outer(x, chunk) / hbar)
-
-                vals, _, _ = integrate_line_batch(
-                    g, ispec, lo=lo, hi=hi,
-                    freq_hint=float(np.max(np.abs(chunk))) / hbar + phase)
-                out[start:start + chunk.size] = vals * norm * np.exp(
-                    1j * demod * chunk / hbar)
-            return out
-
-        try:
-            panels, npts, worst = _chebyshev_panels(
-                direct, -p_max, p_max, n0, relax * tol, spec.max_subdivisions)
-            break
-        except AccuracyError:
-            if relax != 1.0:
-                raise
+    panels, npts, worst = _chebyshev_panels(
+        direct, -p_max, p_max, _seed_panels(2.0 * spec.k_max, hi - lo), tol,
+        spec.max_subdivisions)
     amp = MomentumAmplitude(model, spec, demod, panels, npts, worst, fscale)
     edge = abs(amp.amplitude(p_max)) ** 2 + abs(amp.amplitude(-p_max)) ** 2
     _certify_cutoff(amp, _tail_mass(edge, p_max), f, spec, "p_max")

@@ -25,6 +25,11 @@ from barrierkets import (
     synthesize_energy,
     synthesize_momentum,
 )
+from barrierkets import transforms as tr
+from barrierkets.eigenbasis import _wave_grid
+from barrierkets.quadrature import integrate_line_batch
+from barrierkets.scattering import _solve
+from barrierkets.testspace import _support
 
 MODEL = BarrierModel()
 SPEC = QuadratureSpec()
@@ -122,3 +127,78 @@ def test_straddling_packet_raises():
         energy_transform(f, SignLabel.MINUS, SPEC)
     with pytest.raises(AccuracyError):
         momentum_transform(f, "analysis", SPEC)
+
+
+def _scaled_copy(f):
+    lo, hi = _support(f, SPEC)
+    return lo, hi, f.scaled(1.0 / tr._amplitude_scale(f, lo, hi))
+
+
+# Wave numbers at which the rule is held against adaptive quadrature; the
+# last is the cutoff, where the kernels oscillate fastest.
+PROBE_K = np.array([1e-3, 0.7, 5.3, 13.9, 26.2, SPEC.k_max])
+
+
+@pytest.mark.parametrize("packet", [
+    GaussianPacket(center=-20.0, width=1.0, momentum=3.0, poly_degree=2),
+    GaussianPacket(center=0.5, width=1.0),
+    GaussianPacket(center=-2.8, width=1.0),
+])
+def test_spatial_rule_matches_adaptive_quadrature(packet):
+    # The pieces are evaluated directly, so that the cutoff test, which
+    # refuses the last two packets, does not skip the comparison.
+    f = build_test_function(MODEL, packet)
+    lo, hi, fs = _scaled_copy(f)
+    ispec = tr._inner_spec(SPEC)
+    phase = f.max_phase()
+    energies = (MODEL.hbar * PROBE_K) ** 2 / (2.0 * MODEL.mass)
+    sol = _solve(MODEL, energies)
+    kinds = set()
+    for sign in (SignLabel.PLUS, SignLabel.MINUS):
+        family = SignLabel.MINUS if sign is SignLabel.PLUS else SignLabel.PLUS
+        for channel in (Channel.LEFT, Channel.RIGHT):
+            for piece in tr._channel_pieces(MODEL, channel, lo, hi, sign):
+                rule = tr._region_rule(f, fs, piece.region, SPEC)
+                got = tr._piece_direct(MODEL, rule, piece, channel, sign,
+                                       PROBE_K)
+                if piece.s == 0:
+                    def kernel(x):
+                        return _wave_grid(MODEL, sol, channel, family, x,
+                                          include_prefactor=False).T
+                    coeff = 1.0
+                else:
+                    def kernel(x, piece=piece):
+                        return np.exp(1j * piece.s * np.outer(
+                            x - piece.demod, PROBE_K))
+                    coeff = {"one": 1.0, "trans": sol.t,
+                             "refl": sol.r_l if channel is Channel.LEFT
+                             else sol.r_r}[piece.coeff]
+                    if sign is SignLabel.PLUS:
+                        coeff = np.conj(coeff)
+                ref, _, _ = integrate_line_batch(
+                    lambda x: evaluate(fs, x)[:, None] * kernel(x), ispec,
+                    lo=piece.region[0], hi=piece.region[1],
+                    freq_hint=SPEC.k_max + phase)
+                assert np.max(np.abs(got - coeff * ref)) <= ispec.abs_tol
+                kinds.add(piece.coeff)
+    assert kinds >= {"one", "refl", "trans"}
+    if lo < MODEL.a < hi:
+        assert "interior" in kinds
+    rule = tr._region_rule(f, fs, (lo, hi), SPEC)
+    demod = 0.5 * (lo + hi)
+    momenta = MODEL.hbar * np.concatenate([-PROBE_K[::-1], PROBE_K])
+    got = tr._momentum_direct(MODEL, rule, demod, momenta)
+    ref, _, _ = integrate_line_batch(
+        lambda x: evaluate(fs, x)[:, None] * np.exp(
+            -1j * np.outer(x - demod, momenta) / MODEL.hbar), ispec,
+        lo=lo, hi=hi, freq_hint=SPEC.k_max + phase)
+    ref /= math.sqrt(2.0 * math.pi * MODEL.hbar)
+    assert np.max(np.abs(got - ref)) <= ispec.abs_tol
+
+
+def test_spatial_rule_node_economy():
+    # One rule serves every piece of the battery packet and its momentum
+    # analysis; 384 nodes (twelve 32-point panels) at the time of writing.
+    f = build_test_function(MODEL, GaussianPacket(-20.0, 1.0, 3.0))
+    lo, hi, fs = _scaled_copy(f)
+    assert tr._region_rule(f, fs, (lo, hi), SPEC).x.size <= 576

@@ -67,6 +67,11 @@ def test_vanishes_at_both_steps_to_all_orders(order):
     f = build_test_function(MODEL, NEAR_PACKET)
     assert evaluate(f, MODEL.a, order) == 0.0
     assert evaluate(f, MODEL.b, order) == 0.0
+    # Far out, where the squares of the envelope's exponent overflow, the
+    # value is an exact 0 too, with no RuntimeWarning.
+    far = build_test_function(MODEL, GaussianPacket(-20.0, 1.0, 3.0, 2))
+    assert np.array_equal(evaluate(far, [1e155, 1e200, -1e300], order),
+                          np.zeros(3))
 
 
 def test_position_observable_multiplies_by_x():
