@@ -11,13 +11,12 @@ finite-tolerance numerical check.
 
 from .errors import AccuracyError, CapabilityError, ConditioningError, \
     DomainError
-from .model import BarrierModel, Observable, WaveNumbers, potential_at, \
-    wave_numbers
+from .model import BarrierModel, Observable, wave_numbers
 from .quadrature import QuadratureResult, QuadratureSpec, integrate_energy, \
     integrate_energy_batch, integrate_line, integrate_line_batch
 from .scattering import Channel, ScatteringSolution, SignLabel, s_matrix, \
     solve_matching
-from .eigenbasis import energy_prefactor, eval_plane_wave, scattering_wave
+from .eigenbasis import energy_prefactor, scattering_wave
 from .testspace import GaussianPacket, TestFunction, apply_observable, \
     build_test_function, evaluate, inner_product, lincomb, seminorm, \
     slow_decay_example
@@ -39,8 +38,6 @@ __all__ = [
     "DomainError",
     "BarrierModel",
     "Observable",
-    "WaveNumbers",
-    "potential_at",
     "wave_numbers",
     "QuadratureResult",
     "QuadratureSpec",
@@ -54,7 +51,6 @@ __all__ = [
     "s_matrix",
     "solve_matching",
     "energy_prefactor",
-    "eval_plane_wave",
     "scattering_wave",
     "GaussianPacket",
     "TestFunction",

@@ -5,9 +5,10 @@ from the left or from the right) and two boundary-condition families: the
 plus family carries incoming asymptotics, the minus family is its pointwise
 complex conjugate.  Both are delta-normalized in energy through the
 prefactor sqrt(m / (2 pi k hbar^2)).  Momentum eigenfunctions are the plane
-waves e^{ipx/hbar} / sqrt(2 pi hbar).  The position eigenfunctions are delta
-distributions; they have no pointwise values and act only inside integrals,
-so no evaluator for them exists here.
+waves e^{ipx/hbar} / sqrt(2 pi hbar), which the momentum transforms form
+inline.  The position eigenfunctions are delta distributions; they have no
+pointwise values and act only inside integrals, so no evaluator for them
+exists here.
 
 All energy eigenfunction values come from one grid evaluator over (energies
 of one matching solution) x (positions).  Inside the barrier it takes two
@@ -19,8 +20,6 @@ everywhere else.  scattering_wave is its one-energy view.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .model import BarrierModel
@@ -28,7 +27,6 @@ from .scattering import SMALL_PHASE, Channel, ScatteringSolution, SignLabel, \
     _sinc, _solve
 
 __all__ = [
-    "eval_plane_wave",
     "energy_prefactor",
 ]
 
@@ -113,8 +111,3 @@ def scattering_wave(model: BarrierModel, energy: float, channel: Channel,
         return out[0]
     return out
 
-
-def eval_plane_wave(model: BarrierModel, p: float, x) -> np.ndarray:
-    """Momentum eigenfunction e^{ipx/hbar} / sqrt(2 pi hbar)."""
-    x_arr = np.asarray(x, dtype=float)
-    return np.exp(1j * p * x_arr / model.hbar) / math.sqrt(2.0 * math.pi * model.hbar)

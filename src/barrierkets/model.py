@@ -20,9 +20,7 @@ from .errors import DomainError
 __all__ = [
     "Observable",
     "BarrierModel",
-    "WaveNumbers",
     "wave_numbers",
-    "potential_at",
 ]
 
 
@@ -114,11 +112,3 @@ def wave_numbers(model: BarrierModel, energy) -> WaveNumbers:
                            kappa_sq=float(kappa_sq))
     return WaveNumbers(k=k, kappa=kappa, kappa_sq=kappa_sq)
 
-
-def potential_at(model: BarrierModel, x):
-    """Potential values, vectorized over x."""
-    x = np.asarray(x)
-    out = np.where((x >= model.a) & (x <= model.b), model.v0, 0.0)
-    if out.ndim == 0:
-        return float(out)
-    return out

@@ -1,10 +1,36 @@
 """Adaptive panel quadrature for complex-valued, vectorized integrands.
 
-The core is a Gauss-Kronrod 7/15 rule applied to a worklist of panels, all
-panels evaluated in one numpy call per round.  The error estimate of a panel
-is |K15 - G7|; a panel is split when its estimate blocks the global target.
-All decisions are pure float comparisons on deterministically ordered arrays,
-so repeated runs produce bit-identical results.
+One engine serves every integral in the package and builds the spatial
+rules of the transforms.  It keeps a worklist of panels, each carrying a
+composite 32-point Gauss-Legendre value of its own and of its two halves;
+all panels of a round are evaluated in one integrand call.  The starting
+panels span at most 48 rad at freq_hint, with at least four of them.  A
+panel whose halves disagree with it by more than half of an equal share of
+the target is replaced by its halves, whose values are already known, so
+a split costs the 64 nodes of the new halves' halves.  The panel count is
+capped by max_subdivisions, and a refinement whose error ratio has not
+halved while the panel count grew eightfold has stalled at a noise floor
+and gives up early; both raise AccuracyError carrying the best estimate.
+
+The engine has two acceptance tests, one per kind of caller:
+
+- An integral returns the sum over the halves and accepts when the sum of
+  |panel - halves| over the panels is within max(abs_tol, rel_tol * |value|)
+  for every component.  Summing magnitudes keeps noise from cancelling its
+  way to acceptance: the order-16 seminorm of a width-1 packet next to the
+  barrier carries evaluation noise near 3e-9 of its value, and accepting on
+  |sum of differences| returned it at rel_tol 1e-10, 1.3e-9 away from the
+  values that rel_tol 1e-8 and 1e-6 agree on.  Summed magnitudes stall
+  there and raise.
+- A spatial rule (transforms._build_rule) is the panels themselves, and it
+  accepts when |sum of panel - halves| is within abs_tol, or rel_tol times
+  the integrand's L1 norm when that is larger, at every probe kernel.  The
+  probes are plane waves whose panel differences carry phase roundoff of
+  either sign; summed magnitudes grow with the panel count, and never met
+  the target of a battery packet's rule at abs_tol 1e-12.
+
+All decisions are pure float comparisons on deterministically ordered
+arrays, so repeated runs produce bit-identical results.
 
 Integrands receive a 1-d float64 array of abscissae and must return either a
 matching 1-d array (scalar integrand) or a 2-d array with one row per
@@ -31,40 +57,19 @@ __all__ = [
     "integrate_energy_batch",
 ]
 
-# Gauss-Kronrod 7/15 abscissae and weights on [-1, 1] (positive half; the
-# rule is symmetric).  Node 7 is the origin.
-_XGK_HALF = np.array([
-    0.991455371120812639206854697526329,
-    0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926,
-    0.741531185599394439863864773280788,
-    0.586087235467691130294144838258730,
-    0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245,
-    0.000000000000000000000000000000000,
-])
-_WGK_HALF = np.array([
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
-    0.209482141084727828012999174891714,
-])
-_WG_HALF = np.array([
-    0.129484966168869693270611432679082,
-    0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975,
-    0.417959183673469387755102040816327,
-])
-
-_NODES = np.concatenate([-_XGK_HALF[:7], _XGK_HALF[7:8], _XGK_HALF[:7][::-1]])
-_WK = np.concatenate([_WGK_HALF[:7], _WGK_HALF[7:8], _WGK_HALF[:7][::-1]])
-# Gauss nodes sit at the odd Kronrod positions.
-_WG = np.zeros(15)
-_WG[1:14:2] = np.concatenate([_WG_HALF[:3], _WG_HALF[3:4], _WG_HALF[:3][::-1]])
+# Composite Gauss-Legendre panels: nodes and weights on [-1, 1], the
+# phase one starting panel spans at freq_hint, and the fewest starting
+# panels.
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(32)
+_PANEL_PHASE = 48.0
+_MIN_PANELS = 4
+# The nodes of a panel's left and right halves on the panel's [-1, 1],
+# and the width of the panel and of each half relative to the panel.
+_HALVES_X = np.concatenate([0.5 * (_GL_X - 1.0), 0.5 * (_GL_X + 1.0)])
+_PART_WIDTH = np.array([1.0, 0.5, 0.5])
+# A refinement has stalled when the panel count has grown this many times
+# since some round without the error ratio halving.
+_STALL_GROWTH = 8
 
 
 @dataclass(frozen=True)
@@ -116,34 +121,29 @@ class QuadratureResult:
     panels: int
 
 
-def _initial_panel_count(lo: float, hi: float, freq_hint: float, max_panels: int) -> int:
-    """Panels so that the integrand phase advances at most ~pi per panel."""
-    n = 32
-    if freq_hint > 0.0:
-        n = max(n, int(math.ceil((hi - lo) * freq_hint / math.pi)))
-    return min(n, max(32, max_panels // 2))
+def _eval_panels(f, a, b, signed, whole):
+    """The 32-point rule on each panel [a, b] and on its two halves.
 
-
-def _eval_panels(f, lo_edges, hi_edges):
-    """Apply the 7/15 pair to each panel.
-
-    Returns (values, errors, ncols): arrays with one row per panel and one
-    column per batch component, and the batch width the integrand produced
-    (0 for a scalar integrand).
+    With whole unset, the halves only.  Returns (parts, ncols): parts is
+    (panels, 3 or 2, C), one row per part (the panel, its left half, its
+    right half) and one column per batch component, followed in a signed
+    run by each part's sum of |weight * integrand| per component; ncols is
+    the batch width the integrand produced (0 for a scalar integrand).
     """
-    half = 0.5 * (hi_edges - lo_edges)
-    center = 0.5 * (hi_edges + lo_edges)
-    nodes = center[:, None] + half[:, None] * _NODES[None, :]
+    half = 0.5 * (b - a)
+    offsets = np.concatenate([_GL_X, _HALVES_X]) if whole else _HALVES_X
+    nodes = (0.5 * (a + b))[:, None] + half[:, None] * offsets
     fx = np.asarray(f(nodes.ravel()))
     if fx.ndim not in (1, 2):
         raise DomainError(f"integrand must return 1-d or (n, batch) arrays, got shape {fx.shape}")
     if fx.shape[0] != nodes.size:
         raise DomainError("integrand returned a result of the wrong length")
     ncols = fx.shape[1] if fx.ndim == 2 else 0
-    fx = fx.reshape(nodes.shape[0], 15, max(ncols, 1))
-    k15 = half[:, None] * np.tensordot(fx, _WK, axes=([1], [0]))
-    g7 = half[:, None] * np.tensordot(fx, _WG, axes=([1], [0]))
-    return k15, np.abs(k15 - g7), ncols
+    fx = fx.reshape(a.size, -1, _GL_X.size, max(ncols, 1))
+    if signed:
+        fx = np.concatenate([fx, np.abs(fx)], axis=3)
+    width = half[:, None] * _PART_WIDTH[-fx.shape[1]:]
+    return np.tensordot(fx, _GL_W, axes=([2], [0])) * width[:, :, None], ncols
 
 
 def _probe_columns(f, lo, hi):
@@ -156,51 +156,65 @@ def _probe_columns(f, lo, hi):
     raise DomainError(f"integrand must return 1-d or (n, batch) arrays, got shape {probe.shape}")
 
 
-def _adaptive(f, lo, hi, abs_tol, rel_tol, max_panels, n0):
-    """Shared adaptive loop.
+def _adaptive(f, lo, hi, abs_tol, rel_tol, max_panels, freq_hint,
+              signed=False):
+    """The adaptive engine (see module docstring).
 
-    Returns (values (B,), errors (B,), n_panels, ncols).  The batch width
-    is read off the first round of panel evaluations.
+    signed selects the acceptance test of a spatial rule.  Returns
+    (values (B,), errors (B,), a, b, ncols): the sums over the panels'
+    halves, their error estimates, the final panels [a, b] in ascending
+    order, and the batch width read off the first round.
     """
-    edges = np.linspace(lo, hi, n0 + 1)
-    lo_e, hi_e = edges[:-1], edges[1:]
-    vals, errs, ncols = _eval_panels(f, lo_e, hi_e)
-
+    n0 = max(_MIN_PANELS, math.ceil((hi - lo) * freq_hint / _PANEL_PHASE))
+    edges = np.linspace(lo, hi, min(n0, max_panels // 2) + 1)
+    a, b = edges[:-1], edges[1:]
+    parts, ncols = _eval_panels(f, a, b, signed, whole=True)
+    nb = max(ncols, 1)
+    history = []
     while True:
-        total = vals.sum(axis=0)
-        tot_err = errs.sum(axis=0)
-        target = np.maximum(abs_tol, rel_tol * np.abs(total))
+        vals = parts[:, :, :nb]
+        total = vals[:, 1:].sum(axis=(0, 1))
+        diff = vals[:, 0] - vals[:, 1:].sum(axis=1)
+        if signed:
+            tot_err = np.abs(diff.sum(axis=0))
+            target = np.maximum(abs_tol,
+                                rel_tol * parts[:, 0, nb:].real.sum(axis=0))
+        else:
+            tot_err = np.abs(diff).sum(axis=0)
+            target = np.maximum(abs_tol, rel_tol * np.abs(total))
         if np.all(tot_err <= target):
-            return total, tot_err, lo_e.size, ncols
-        # A panel blocks convergence when its estimate exceeds an equal share
-        # of the worst component's budget.
-        ratio = (errs / target[None, :]).max(axis=1)
-        flag = ratio > 1.0 / (2.0 * lo_e.size)
-        n_new = int(flag.sum())
-        if n_new == 0:
-            # Estimates stalled below the per-panel threshold yet the sum
-            # still misses the target: split the worst offenders.
-            order = np.argsort(-ratio, kind="stable")
-            flag = np.zeros_like(flag)
-            flag[order[: max(1, lo_e.size // 4)]] = True
-            n_new = int(flag.sum())
-        if lo_e.size + n_new > max_panels:
+            order = np.argsort(a, kind="stable")
+            return total, tot_err, a[order], b[order], ncols
+        worst = float((tot_err / target).max())
+        stalled = any(a.size >= _STALL_GROWTH * n and worst > 0.5 * w
+                      for n, w in history)
+        history.append((a.size, worst))
+        # A panel blocks convergence when its difference exceeds half of an
+        # equal share of the worst component's budget.
+        ratio = (np.abs(diff) / target).max(axis=1)
+        flag = ratio > 1.0 / (2.0 * a.size)
+        if not flag.any():
+            # No panel blocks on its own, yet the sum still misses the
+            # target: split the worst offenders.
+            flag[np.argsort(-ratio, kind="stable")[:max(1, a.size // 4)]] = True
+        if stalled or a.size + int(flag.sum()) > max_panels:
+            how = "stalled" if stalled else "failed to reach tolerance"
             raise AccuracyError(
-                f"quadrature failed to reach tolerance with {lo_e.size} panels "
+                f"quadrature {how} with {a.size} panels "
                 f"(error {float(tot_err.max()):.3e}, target {float(target.min()):.3e})",
                 value=total if ncols else complex(total[0]),
-                error=float(tot_err.max()),
-            )
-        mid = 0.5 * (lo_e[flag] + hi_e[flag])
-        new_lo = np.concatenate([lo_e[~flag], lo_e[flag], mid])
-        new_hi = np.concatenate([hi_e[~flag], mid, hi_e[flag]])
-        new_vals, new_errs, _ = _eval_panels(f, np.concatenate([lo_e[flag], mid]),
-                                             np.concatenate([mid, hi_e[flag]]))
-        vals = np.concatenate([vals[~flag], new_vals], axis=0)
-        errs = np.concatenate([errs[~flag], new_errs], axis=0)
-        order = np.argsort(new_lo, kind="stable")
-        lo_e, hi_e = new_lo[order], new_hi[order]
-        vals, errs = vals[order], errs[order]
+                error=float(tot_err.max()))
+        # The halves of a split panel become panels whose own values are
+        # known; only their halves are new.
+        mid = 0.5 * (a[flag] + b[flag])
+        new_a = np.concatenate([a[flag], mid])
+        new_b = np.concatenate([mid, b[flag]])
+        new, _ = _eval_panels(f, new_a, new_b, signed, whole=False)
+        known = np.concatenate([parts[flag, 1], parts[flag, 2]])
+        parts = np.concatenate([parts[~flag],
+                                np.concatenate([known[:, None], new], axis=1)])
+        a = np.concatenate([a[~flag], new_a])
+        b = np.concatenate([b[~flag], new_b])
 
 
 def _run(f, lo, hi, spec, freq_hint):
@@ -208,8 +222,9 @@ def _run(f, lo, hi, spec, freq_hint):
         raise DomainError("integration limits must be finite")
     if hi <= lo:
         return np.zeros(1, dtype=complex), np.zeros(1), 0, 0
-    n0 = _initial_panel_count(lo, hi, freq_hint, spec.max_subdivisions)
-    return _adaptive(f, lo, hi, spec.abs_tol, spec.rel_tol, spec.max_subdivisions, n0)
+    vals, errs, a, _, ncols = _adaptive(f, lo, hi, spec.abs_tol, spec.rel_tol,
+                                        spec.max_subdivisions, freq_hint)
+    return vals, errs, a.size, ncols
 
 
 def integrate_line(f, spec: QuadratureSpec, lo: float | None = None, hi: float | None = None,

@@ -30,13 +30,15 @@ interior, when it meets the support, is one more piece, integrated against
 the eigenfunction itself; it is short, so it is slow in k.
 
 The spatial integrals behind every piece use one fixed rule per region of f:
-composite 32-point Gauss-Legendre panels, certified once at the top
-frequency k_max plus f's phase by comparing each panel with its halves on
-plane-wave probes (and, inside the barrier, eigenfunction probes) across
-[-k_max, k_max], and refined panel by panel.  f is sampled on the rule once,
-so a piece's values at any array of wave numbers are one product of the
-kernel matrix with the weighted samples.  The pieces of both channels and
-both sign families, and the momentum analysis, share the rules.
+the composite 32-point Gauss-Legendre panels on which the adaptive
+quadrature engine, in its signed mode (see the quadrature module),
+integrates f against plane-wave probes (and, inside the barrier,
+eigenfunction probes) at wave numbers across [-k_max, k_max], starting from
+panels sized for the top frequency k_max plus f's phase.  f is sampled on
+the rule once, so a piece's values at any array of wave numbers are one
+product of the kernel matrix with the weighted samples.  The pieces of both
+channels and both sign families, and the momentum analysis, share the
+rules.
 
 An expansion truncated at k_max cannot see the part of f beyond the cutoff.
 After each build the mass of that part is bounded from the amplitudes at the
@@ -60,7 +62,10 @@ from numpy.polynomial import chebyshev as cheb
 from .errors import AccuracyError, DomainError
 from .model import BarrierModel, Observable
 from .quadrature import (
+    _GL_W,
+    _GL_X,
     QuadratureSpec,
+    _adaptive,
     integrate_energy,
     integrate_energy_batch,
     integrate_line,
@@ -111,11 +116,8 @@ _TAIL_POWER = 1.5
 _LOBATTO = np.sin(0.5 * np.pi * np.arange(-_DEGREE, _DEGREE + 1, 2) / _DEGREE)
 # Values at the nodes to Chebyshev coefficients.
 _TO_CHEB = np.linalg.inv(cheb.chebvander(_LOBATTO, _DEGREE))
-# Spatial rules (see _region_rule): Gauss-Legendre nodes per panel, the
-# phase one starting panel spans at the top frequency, and the number of
-# probe wave numbers per sign at which a rule is certified.
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(32)
-_PANEL_PHASE = 48.0
+# Probe wave numbers per sign at which a spatial rule is certified (see
+# _region_rule).
 _RULE_PROBES = 9
 # Kernel entries (wave numbers times nodes) formed at once.
 _BLOCK_ENTRIES = 1 << 18
@@ -303,14 +305,9 @@ def _region_rule(f: TestFunction, fs: TestFunction, region, spec: QuadratureSpec
 def _build_rule(fs: TestFunction, region, spec: QuadratureSpec) -> _Rule:
     """See module docstring: one spatial rule, certified at the top frequency.
 
-    Starting panels span at most _PANEL_PHASE rad at k_max plus f's phase.
-    Each panel is compared with its two halves on probe kernels; panels
-    that block the target are replaced by their halves, whose samples are
-    kept.  The rule is accepted when, at every probe, the signed sum of the
-    panel differences is within the inner tolerance, or within 1e-14 of
-    the L1 norm of f when that is larger (the roundoff of the kernels'
-    phases).  Like an adaptive integral, a rule holds at most
-    max_subdivisions panels.
+    The adaptive engine integrates fs against the probe kernels in its
+    signed mode, at the inner tolerance; the rule is the panels it returns
+    with fs sampled on them once.
     """
     lo, hi = region
     model = fs.model
@@ -324,57 +321,20 @@ def _build_rule(fs: TestFunction, region, spec: QuadratureSpec) -> _Rule:
     if model.a <= lo and hi <= model.b:
         sol = _solve(model, (model.hbar * k) ** 2 / (2.0 * model.mass))
 
-    def panels(a, b):
-        """Nodes, weights times fs and probe values of the panels [a, b]."""
-        half = 0.5 * (b - a)
-        x = (0.5 * (a + b))[:, None] + half[:, None] * _GL_X
-        wf = (half[:, None] * _GL_W) * evaluate(fs, x.ravel()).reshape(x.shape)
-        flat = x.ravel()
-        cols = [_cis(np.outer(flat - center, kappa))]
+    def probes(x):
+        cols = [_cis(np.outer(x - center, kappa))]
         if sol is not None:
-            cols += [_wave_grid(model, sol, c, s, flat, include_prefactor=False).T
+            cols += [_wave_grid(model, sol, c, s, x, include_prefactor=False).T
                      for c in Channel for s in SignLabel]
-        kern = np.concatenate(cols, axis=1).reshape(x.shape + (-1,))
-        return x, wf, np.einsum("pn,pnb->pb", wf, kern)
+        return evaluate(fs, x)[:, None] * np.concatenate(cols, axis=1)
 
-    n0 = max(1, math.ceil((hi - lo) * (spec.k_max + fs.max_phase())
-                          / _PANEL_PHASE))
-    edges = np.linspace(lo, hi, n0 + 1)
-    a, b = edges[:-1], edges[1:]
-    x, wf, val = panels(a, b)
-    # The two halves of each panel, interleaved: (panels, 2, ...).  Panels
-    # past the first `halved` have not been halved yet.
-    halves = [arr[:0, None].repeat(2, axis=1) for arr in (x, wf, val)]
-    while True:
-        halved = halves[0].shape[0]
-        fa, fb = a[halved:], b[halved:]
-        fm = 0.5 * (fa + fb)
-        new = panels(np.stack([fa, fm], axis=1).ravel(),
-                     np.stack([fm, fb], axis=1).ravel())
-        halves = [np.concatenate([h, n.reshape((-1, 2) + n.shape[1:])])
-                  for h, n in zip(halves, new)]
-        diff = val - halves[2].sum(axis=1)
-        target = max(ispec.abs_tol, ispec.rel_tol * float(np.abs(wf).sum()))
-        if np.all(np.abs(diff.sum(axis=0)) <= target):
-            break
-        # As in the adaptive quadrature: a panel blocks the target when its
-        # difference exceeds half of an equal share.
-        ratio = np.abs(diff).max(axis=1) / target
-        split = ratio > 1.0 / (2.0 * a.size)
-        if not split.any():
-            split[np.argsort(-ratio, kind="stable")[:max(1, a.size // 4)]] = True
-        if a.size + int(split.sum()) > spec.max_subdivisions:
-            raise AccuracyError(
-                f"spatial rule failed to reach tolerance with {a.size} panels",
-                error=float(np.abs(diff.sum(axis=0)).max()))
-        mid = 0.5 * (a[split] + b[split])
-        a = np.concatenate([a[~split], np.stack([a[split], mid], 1).ravel()])
-        b = np.concatenate([b[~split], np.stack([mid, b[split]], 1).ravel()])
-        x, wf, val = (np.concatenate([arr[~split], h[split].reshape(
-            (-1,) + h.shape[2:])]) for arr, h in zip((x, wf, val), halves))
-        halves = [h[~split] for h in halves]
-    order = np.argsort(a, kind="stable")
-    return _Rule(x[order].ravel(), wf[order].ravel())
+    _, _, a, b, _ = _adaptive(probes, lo, hi, ispec.abs_tol, ispec.rel_tol,
+                              spec.max_subdivisions,
+                              spec.k_max + fs.max_phase(), signed=True)
+    half = 0.5 * (b - a)
+    x = (0.5 * (a + b))[:, None] + half[:, None] * _GL_X
+    wf = (half[:, None] * _GL_W) * evaluate(fs, x.ravel()).reshape(x.shape)
+    return _Rule(x.ravel(), wf.ravel())
 
 
 def _cis(phase: np.ndarray) -> np.ndarray:

@@ -8,13 +8,16 @@ import pytest
 from barrierkets import (
     BarrierModel,
     Channel,
+    GaussianPacket,
+    QuadratureSpec,
     SignLabel,
+    build_test_function,
     energy_prefactor,
-    eval_plane_wave,
-    potential_at,
+    evaluate,
+    momentum_transform,
     scattering_wave,
 )
-from oracles import fd_derivative
+from oracles import fd_derivative, quad_complex
 
 # sqrt(m / (2 pi k hbar^2)) at k = 1 with m = 1/2: 1 / (2 sqrt(pi))
 PREFACTOR_K1 = 0.28209479177387814347
@@ -32,11 +35,19 @@ def test_prefactor_literal_and_vectorization():
 
 
 def test_plane_wave_normalization():
+    # <p|f> is the overlap of f with e^{ipx/hbar} / sqrt(2 pi hbar).
     m = BarrierModel()
-    assert eval_plane_wave(m, 0.0, 0.0) == pytest.approx(INV_SQRT_2PI)
-    vals = eval_plane_wave(m, 3.0, np.array([0.0, 1.0]))
-    assert np.allclose(np.abs(vals), INV_SQRT_2PI)
-    assert np.angle(vals[1]) == pytest.approx(3.0, abs=1e-12)
+    f = build_test_function(m, GaussianPacket(center=-20.0, width=1.0,
+                                              momentum=3.0))
+    amp = momentum_transform(f, "analysis", QuadratureSpec())
+    lo, hi = f.support_interval(40.0)
+    for p in (0.0, 1.5, 3.0, -2.0):
+        def overlap(x, p=p):
+            plane = np.exp(1j * p * x / m.hbar) * INV_SQRT_2PI
+            return np.conj(plane) * evaluate(f, x)
+
+        ref = quad_complex(overlap, lo, hi, epsabs=1e-13, epsrel=1e-12)
+        assert abs(amp.amplitude(p) - ref) < 1e-10
 
 
 @pytest.mark.parametrize("channel", [Channel.LEFT, Channel.RIGHT])
@@ -62,7 +73,8 @@ def test_satisfies_the_stationary_equation(channel, energy, x0):
                                float(x), include_prefactor=False)
 
     second = fd_derivative(psi, x0, 2, h=1e-4)
-    lhs = -m.hbar**2 / (2.0 * m.mass) * second + potential_at(m, x0) * psi(x0)
+    potential = m.v0 if m.a <= x0 <= m.b else 0.0
+    lhs = -m.hbar**2 / (2.0 * m.mass) * second + potential * psi(x0)
     assert abs(lhs - energy * psi(x0)) < 2e-6
 
 

@@ -2,10 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from barrierkets import BarrierModel, DomainError, potential_at, wave_numbers
+from barrierkets import BarrierModel, DomainError, GaussianPacket, \
+    Observable, apply_observable, build_test_function, evaluate, lincomb, \
+    wave_numbers
 
 
 def test_defaults():
@@ -42,12 +45,19 @@ def test_from_dict_rejects_unknown_keys():
 
 
 def test_potential_is_closed_on_the_barrier():
+    # H f minus its kinetic part P P f / 2m is V f, with V = v0 on [a, b]
+    # and 0 outside.  At the steps f and H f vanish to all orders, so the
+    # closed convention there is seen only as Hf = 0.
     m = BarrierModel()
-    assert potential_at(m, -1.0) == 0.0
-    assert potential_at(m, 0.0) == 2.0
-    assert potential_at(m, 0.5) == 2.0
-    assert potential_at(m, 1.0) == 2.0
-    assert potential_at(m, 1.5) == 0.0
+    f = build_test_function(m, GaussianPacket(center=0.5, width=1.0))
+    pp = apply_observable(Observable.P, apply_observable(Observable.P, f))
+    vf = lincomb(1.0, apply_observable(Observable.H, f),
+                 -1.0 / (2.0 * m.mass), pp)
+    x = np.array([-1.0, -0.05, 0.0, 0.05, 0.5, 0.95, 1.0, 1.05, 1.5])
+    inside = (m.a <= x) & (x <= m.b)
+    expect = np.where(inside, m.v0, 0.0) * evaluate(f, x)
+    assert np.allclose(evaluate(vf, x), expect, rtol=1e-9, atol=1e-12)
+    assert np.all(evaluate(f, np.array([m.a, m.b])) == 0.0)
 
 
 def test_wave_numbers_regimes():

@@ -1,5 +1,7 @@
-"""Start-up of the package and the narrative demos, each in a fresh process."""
+"""Start-up of the package and the narrative demos, each in a fresh process,
+and the package names the benchmark tracer wraps."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -38,3 +40,17 @@ def test_demo_runs(demo):
     proc = _run([str(ROOT / "demos" / demo)], 300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_traced_functions_resolve():
+    # bench/tracer.py wraps each function it lists by name; a renamed or
+    # removed one would otherwise break only the traced benchmark runs.
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for layer, functions in tracer.LAYERS.items():
+        module = importlib.import_module(f"barrierkets.{layer}")
+        for name in functions:
+            assert callable(getattr(module, name, None)), \
+                f"barrierkets.{layer}.{name}"

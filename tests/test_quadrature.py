@@ -8,13 +8,18 @@ from hypothesis import given, strategies as st
 
 from barrierkets import (
     AccuracyError,
+    BarrierModel,
     DomainError,
+    GaussianPacket,
     QuadratureSpec,
+    build_test_function,
     integrate_energy,
     integrate_energy_batch,
     integrate_line,
     integrate_line_batch,
+    seminorm,
 )
+from barrierkets import testspace
 
 SQRT_PI = 1.7724538509055160273
 # integral of exp(-x^2) * exp(5ix) over the line: sqrt(pi) e^{-25/4}
@@ -113,6 +118,31 @@ def test_failure_carries_best_estimate():
     assert err.value is not None
     assert abs(err.value.real - SQRT_PI) < 1e-6
     assert err.error is not None and err.error > 0.0
+
+
+def test_stalled_refinement_raises_early(monkeypatch):
+    # Order 16 next to the barrier: the evaluation noise of the integrand
+    # keeps the error estimate near 3e-9 of the value at every panel count.
+    # The refinement must give up with its estimate long before the panel
+    # cap, which allows 64 new nodes per panel, would stop it.
+    spec = QuadratureSpec()
+    f = build_test_function(BarrierModel(), GaussianPacket(-5.0, 1.0))
+    evaluate = testspace.evaluate
+    evaluations = []
+
+    def counting_evaluate(g, x):
+        evaluations.append(np.size(x))
+        return evaluate(g, x)
+
+    monkeypatch.setattr(testspace, "evaluate", counting_evaluate)
+    with pytest.raises(AccuracyError) as exc_info:
+        seminorm(f, 0, 0, 8, spec)
+    err = exc_info.value
+    # The squared seminorm, 3.8334309141e27 ** 2 by runs at looser rel_tol.
+    assert err.value.real == pytest.approx(1.46952e55, rel=1e-5)
+    assert math.isfinite(err.error) and err.error > 0.0
+    # The integrand evaluates f's image twice per node.
+    assert sum(evaluations) // 2 < 64 * spec.max_subdivisions // 4
 
 
 def test_spec_validation():
