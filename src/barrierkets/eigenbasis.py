@@ -5,10 +5,10 @@ from the left or from the right) and two boundary-condition families: the
 plus family carries incoming asymptotics, the minus family is its pointwise
 complex conjugate.  Both are delta-normalized in energy through the
 prefactor sqrt(m / (2 pi k hbar^2)).  Momentum eigenfunctions are the plane
-waves e^{ipx/hbar} / sqrt(2 pi hbar), which the momentum transforms form
-inline.  The position eigenfunctions are delta distributions; they have no
-pointwise values and act only inside integrals, so no evaluator for them
-exists here.
+waves e^{ipx/hbar} / sqrt(2 pi hbar).  Every plane wave in the package is
+formed by _cis, one cos and one sin per phase.  The position
+eigenfunctions are delta distributions; they have no pointwise values and
+act only inside integrals, so no evaluator for them exists here.
 
 All energy eigenfunction values come from one grid evaluator over (energies
 of one matching solution) x (positions).  Inside the barrier it takes two
@@ -43,6 +43,14 @@ def energy_prefactor(model: BarrierModel, k):
     return val
 
 
+def _cis(phase: np.ndarray) -> np.ndarray:
+    """exp(i phase) for a real phase: one cos and one sin, no complex exp."""
+    out = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    return out
+
+
 def _wave_grid(model: BarrierModel, sol: ScatteringSolution, channel: Channel,
                sign: SignLabel, x: np.ndarray,
                include_prefactor: bool = True) -> np.ndarray:
@@ -56,14 +64,15 @@ def _wave_grid(model: BarrierModel, sol: ScatteringSolution, channel: Channel,
     left = x < model.a
     right = x > model.b
     mid = ~(left | right)
+    # Each exterior side forms exp(ikx) once; exp(-ikx) is its conjugate.
+    wave_l = _cis(np.outer(k, x[left]))
+    wave_r = _cis(np.outer(k, x[right]))
     if channel is Channel.LEFT:
-        ph = np.outer(k, x[left])
-        rows[:, left] = np.exp(1j * ph) + sol.r_l[:, None] * np.exp(-1j * ph)
-        rows[:, right] = sol.t[:, None] * np.exp(1j * np.outer(k, x[right]))
+        rows[:, left] = wave_l + sol.r_l[:, None] * np.conj(wave_l)
+        rows[:, right] = sol.t[:, None] * wave_r
     else:
-        ph = np.outer(k, x[right])
-        rows[:, right] = np.exp(-1j * ph) + sol.r_r[:, None] * np.exp(1j * ph)
-        rows[:, left] = sol.t[:, None] * np.exp(-1j * np.outer(k, x[left]))
+        rows[:, right] = np.conj(wave_r) + sol.r_r[:, None] * wave_r
+        rows[:, left] = sol.t[:, None] * np.conj(wave_l)
     xm = x[mid]
     kappa = sol.kappa[:, None]
     prop = sol.degenerate | (np.abs(sol.kappa) * model.width <= SMALL_PHASE)

@@ -64,12 +64,16 @@ class ScatteringSolution:
 
     solve_matching returns one energy with scalar fields; the array kernel
     behind it returns the same fields as arrays over its energies.  t, r_l,
-    r_r are the transmission and reflection amplitudes.  a_l, b_l, a_r, b_r
-    are the interior amplitudes in the basis {e^{i kappa x}, e^{-i kappa x}};
-    they are NaN inside the degenerate shell around the barrier top, where
-    that basis ceases to exist (interior values remain available through
-    the propagator route).  sc_l / sc_r hold the same interior data in the
-    interface-scaled basis.
+    r_r are the transmission and reflection amplitudes.  sc_l / sc_r hold
+    the interior amplitudes of each channel in the interface-scaled basis
+    {e^{i kappa (x-a)}, e^{-i kappa (x-b)}}; _lift holds the exponents
+    (-i kappa a, i kappa b) that carry them to the basis
+    {e^{i kappa x}, e^{-i kappa x}}.  The properties a_l, b_l, a_r, b_r are
+    the amplitudes in that basis, formed on access: they are NaN inside the
+    degenerate shell around the barrier top, where the basis ceases to exist
+    (interior values remain available through the propagator route), and
+    raise ConditioningError where they overflow, as they do for an opaque
+    barrier far from the origin.
     """
 
     energy: float
@@ -79,13 +83,34 @@ class ScatteringSolution:
     t: complex
     r_l: complex
     r_r: complex
-    a_l: complex
-    b_l: complex
-    a_r: complex
-    b_r: complex
     sc_l: tuple[complex, complex]
     sc_r: tuple[complex, complex]
+    _lift: tuple[complex, complex]
     degenerate: bool
+
+    def _unscaled(self, scaled, end: int):
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = scaled * np.exp(self._lift[end])
+        if np.any(~np.isfinite(v) & ~np.asarray(self.degenerate)):
+            raise ConditioningError(
+                "unscaled interior amplitudes overflow; use sc_l / sc_r")
+        return v if np.ndim(v) else complex(v)
+
+    @property
+    def a_l(self):
+        return self._unscaled(self.sc_l[0], 0)
+
+    @property
+    def b_l(self):
+        return self._unscaled(self.sc_l[1], 1)
+
+    @property
+    def a_r(self):
+        return self._unscaled(self.sc_r[0], 0)
+
+    @property
+    def b_r(self):
+        return self._unscaled(self.sc_r[1], 1)
 
 
 def _sinc(z):
@@ -153,8 +178,6 @@ def _solve(model: BarrierModel, energies: np.ndarray) -> ScatteringSolution:
     beta_l = 0.5 * eb * (1.0 - k / kap) * t
     alpha_r = 0.5 * ea_m * (1.0 - k / kap) * t2
     beta_r = 0.5 * (psi_b2 - dpsi_b2 / ikap) * t2
-    ph_a = np.exp(-ikap * a)
-    ph_b = np.exp(ikap * b)
 
     def interior(v):
         return np.where(degenerate, complex(np.nan, np.nan), v)
@@ -162,10 +185,9 @@ def _solve(model: BarrierModel, energies: np.ndarray) -> ScatteringSolution:
     return ScatteringSolution(
         energy=energies, k=k, kappa=kappa, kappa_sq=kappa_sq,
         t=t, r_l=r_l, r_r=r_r,
-        a_l=interior(alpha_l * ph_a), b_l=interior(beta_l * ph_b),
-        a_r=interior(alpha_r * ph_a), b_r=interior(beta_r * ph_b),
         sc_l=(interior(alpha_l), interior(beta_l)),
         sc_r=(interior(alpha_r), interior(beta_r)),
+        _lift=(-ikap * a, ikap * b),
         degenerate=degenerate)
 
 

@@ -9,42 +9,54 @@ against the eigenfunctions over the spectrum and reproduces f; it and the
 overlaps are line integrals handled by the quadrature module.
 
 Amplitude values are needed at thousands of quadrature nodes, so transforms
-build a certified interpolation cache.  The amplitude itself oscillates in k
-roughly like exp(i k x0) with x0 the packet position, which would force a
-very dense grid; instead the cache stores demodulated pieces.  Each exterior
-region of the eigenfunction contributes terms coeff(k) * exp(+-ikx), so the
-piece integrals
+build a certified interpolation cache.  Outside the barrier every
+eigenfunction is a combination of plane waves exp(+-ikx) with coefficients
+1, r(k) and t(k), so on each exterior region R of f the amplitudes of both
+channels and both sign families, and the plane-wave (momentum) amplitudes,
+are all read from one function of a signed wave number,
 
-    S(k) = coeff(k) * integral over region of exp(i s k (x - x0)) f(x) dx,
+    F_R(kappa) = integral over R of exp(i kappa (x - x0)) f(x) dx,
 
-x0 the middle of the region, vary on the scale of the packet width only.
-Each piece is interpolated by degree-16 Chebyshev polynomials on panels that
-cover [k_lo, k_max] (Trefethen, Approximation Theory and Approximation
-Practice, SIAM 2013).  A panel is accepted when the last two coefficients of
-its Chebyshev series and its error at two held-out probe points are below a
-fixed fraction of the quadrature tolerance (the chopping test of Aurentz and
-Trefethen, ACM TOMS 43, 2017); otherwise it is bisected, and its probes
-become nodes of its halves.  The amplitude is reassembled as sum of
-panels(k) * exp(i s k x0) terms times the spectral prefactor.  The barrier
-interior, when it meets the support, is one more piece, integrated against
-the eigenfunction itself; it is short, so it is slow in k.
+x0 the middle of R.  Demodulated by x0, F_R varies on the scale of the
+packet width only.  It is interpolated once per region by degree-16
+Chebyshev polynomials on panels that cover [-k_max, k_max] (Trefethen,
+Approximation Theory and Approximation Practice, SIAM 2013).  A panel is
+accepted when the last two coefficients of its Chebyshev series and its
+error at two held-out probe points are below a fixed fraction of the
+quadrature tolerance (the chopping test of Aurentz and Trefethen, ACM TOMS
+43, 2017); otherwise it is bisected, and its probes become nodes of its
+halves.  An exterior piece of an amplitude is then assembled as
 
-The spatial integrals behind every piece use one fixed rule per region of f:
+    coeff(k) * F_R(s k) * exp(i s k x0),
+
+with s = +-1 the sign of the plane wave and coeff taken from the matching
+solution at k (conjugated for the plus family); the caller passes the
+matching solution it already holds, so one solve serves every amplitude an
+integrand reads.  The momentum amplitude reads F over the whole support at
+kappa = -p/hbar: its panels are F's, reversed, with the odd Chebyshev
+coefficients negated.  The barrier interior, when it meets the support, is
+one more piece per (channel, sign), integrated against the eigenfunction
+itself and interpolated on its own panels; it is short, so it is slow in k.
+
+The spatial integrals behind every cache use one fixed rule per region of f:
 the composite 32-point Gauss-Legendre panels on which the adaptive
 quadrature engine, in its signed mode (see the quadrature module),
 integrates f against plane-wave probes (and, inside the barrier,
 eigenfunction probes) at wave numbers across [-k_max, k_max], starting from
 panels sized for the top frequency k_max plus f's phase.  f is sampled on
-the rule once, so a piece's values at any array of wave numbers are one
-product of the kernel matrix with the weighted samples.  The pieces of both
-channels and both sign families, and the momentum analysis, share the
-rules.
+the rule once, so a cache's direct values at any array of wave numbers are
+one product of the kernel matrix with the weighted samples.  F_R is kept
+beside its rule.
 
 An expansion truncated at k_max cannot see the part of f beyond the cutoff.
 After each build the mass of that part is bounded from the amplitudes at the
 cutoff (see _tail_mass), and a build that would miss f by more than abs_tol
 in norm raises AccuracyError carrying the amplitude object instead of
 returning truncated answers.
+
+Synthesis outside the barrier sums the channels before it forms any wave:
+sum over c of amp_c(E) u_c(x; E) is alpha(k) exp(ikx) + beta(k) exp(-ikx)
+there, so one table of exp(ikx) per integrand call serves both channels.
 
 Transforms are memoized per (function, sign, tolerance spec); caches are
 write-once and all callables are pure.
@@ -55,6 +67,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import replace as drep
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
@@ -72,7 +85,7 @@ from .quadrature import (
     integrate_line_batch,
 )
 from .scattering import Channel, SignLabel, _solve
-from .eigenbasis import _wave_grid, energy_prefactor
+from .eigenbasis import _cis, _wave_grid, energy_prefactor
 from .testspace import TestFunction, _support, evaluate, inner_product
 
 __all__ = [
@@ -150,13 +163,20 @@ def _amplitude_scale(f: TestFunction, lo: float, hi: float) -> float:
 
 
 class _Panels:
-    """Piecewise Chebyshev interpolant: sorted panel edges, one series each."""
+    """Piecewise Chebyshev interpolant: sorted panel edges, one series each.
 
-    __slots__ = ("edges", "coeffs")
+    points counts the direct values it was fitted from, max_err is its
+    largest accepted panel error.
+    """
 
-    def __init__(self, edges: np.ndarray, coeffs: np.ndarray):
+    __slots__ = ("edges", "coeffs", "points", "max_err")
+
+    def __init__(self, edges: np.ndarray, coeffs: np.ndarray, points: int = 0,
+                 max_err: float = 0.0):
         self.edges = edges    # (P + 1,)
         self.coeffs = coeffs  # (P, _DEGREE + 1)
+        self.points = points
+        self.max_err = max_err
 
     def __call__(self, k: np.ndarray) -> np.ndarray:
         idx = np.clip(np.searchsorted(self.edges, k, side="right") - 1,
@@ -171,13 +191,11 @@ def _seed_panels(span: float, region_len: float) -> int:
 
 
 def _chebyshev_panels(direct, lo: float, hi: float, n0: int, tol: float,
-                      cap: int):
+                      cap: int) -> _Panels:
     """See module docstring: certified piecewise Chebyshev interpolation.
 
     direct maps a sorted array of wave numbers to values; it is called once
-    per refinement round, never twice at one wave number.  Returns the
-    interpolant, the number of direct evaluations and the largest accepted
-    panel error.
+    per refinement round, never twice at one wave number.
     """
     known = {}
     edges = np.linspace(lo, hi, n0 + 1)
@@ -217,57 +235,46 @@ def _chebyshev_panels(direct, lo: float, hi: float, n0: int, tol: float,
     starts = np.concatenate(done_lo)
     order = np.argsort(starts, kind="stable")
     edges = np.append(starts[order], hi)
-    return (_Panels(edges, np.concatenate(done_coeffs)[order]), len(known),
-            worst)
-
-
-class _Piece:
-    """One demodulated amplitude component on its own Chebyshev panels."""
-
-    __slots__ = ("region", "s", "coeff", "demod", "panels", "points", "max_err")
-
-    def __init__(self, region, s, coeff, demod):
-        self.region = region
-        self.s = s          # exponent sign of exp(i s k x); 0 marks interior
-        self.coeff = coeff  # "one" | "refl" | "trans" | "interior"
-        self.demod = demod
-        self.panels = None
-        self.points = 0
-        self.max_err = 0.0
-
-    def assemble(self, k: np.ndarray) -> np.ndarray:
-        vals = self.panels(k)
-        if self.s:
-            vals = vals * np.exp(1j * self.s * self.demod * k)
-        return vals
+    return _Panels(edges, np.concatenate(done_coeffs)[order], len(known), worst)
 
 
 def _channel_pieces(model: BarrierModel, channel: Channel, lo: float, hi: float,
                     sign: SignLabel):
-    """Exterior pieces of one channel's analysis kernel over support [lo, hi].
+    """(region, s, kind) of each piece of one channel's analysis kernel.
 
-    Exponent signs start in the plus-family convention; the plus analysis
-    conjugates the kernel, so its pieces carry the flipped effective sign.
+    The support is [lo, hi]; kind is "one", "refl" or "trans" for an
+    exterior plane wave exp(i s k x) and its matching coefficient, or
+    "interior" (s = 0) for the barrier interior.  Exponent signs start in
+    the plus-family convention; the plus analysis conjugates the kernel, so
+    its pieces carry the flipped effective sign.
     """
     left = (lo, min(model.a, hi))
     right = (max(model.b, lo), hi)
     mid = (max(model.a, lo), min(model.b, hi))
     flip = -1 if sign is SignLabel.PLUS else 1
-    out = []
-
-    def center(r):
-        return 0.5 * (r[0] + r[1])
-
     if channel is Channel.LEFT:
         exterior = [(left, +1, "one"), (left, -1, "refl"), (right, +1, "trans")]
     else:
         exterior = [(right, -1, "one"), (right, +1, "refl"), (left, -1, "trans")]
-    for region, s0, kind in exterior:
-        if region[1] > region[0]:
-            out.append(_Piece(region, flip * s0, kind, center(region)))
+    out = [(region, flip * s0, kind) for region, s0, kind in exterior
+           if region[1] > region[0]]
     if mid[1] > mid[0]:
-        out.append(_Piece(mid, 0, "interior", 0.0))
+        out.append((mid, 0, "interior"))
     return out
+
+
+class _Piece(NamedTuple):
+    """One term of a channel's amplitude over the spectral prefactor.
+
+    An exterior piece (s = +-1) is coeff(k) * panels(s k) * exp(i s k x0),
+    with panels its region's F and coeff named by kind ("one", "refl" or
+    "trans"); the interior piece (s = 0) is panels(k) itself.
+    """
+
+    kind: str
+    s: int
+    panels: _Panels
+    x0: float
 
 
 class _Rule:
@@ -275,14 +282,17 @@ class _Rule:
 
     x holds the nodes and wf the weights times the scaled function there,
     so the integral of f against any kernel over the region is
-    kernel(x) @ wf.
+    kernel(x) @ wf.  center is the region's middle x0; fourier holds the
+    region's F (see module docstring) once _region_fourier has built it.
     """
 
-    __slots__ = ("x", "wf")
+    __slots__ = ("x", "wf", "center", "fourier")
 
-    def __init__(self, x: np.ndarray, wf: np.ndarray):
+    def __init__(self, x: np.ndarray, wf: np.ndarray, center: float):
         self.x = x
         self.wf = wf
+        self.center = center
+        self.fourier = None
 
 
 _RULE_MEMO: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
@@ -334,15 +344,7 @@ def _build_rule(fs: TestFunction, region, spec: QuadratureSpec) -> _Rule:
     half = 0.5 * (b - a)
     x = (0.5 * (a + b))[:, None] + half[:, None] * _GL_X
     wf = (half[:, None] * _GL_W) * evaluate(fs, x.ravel()).reshape(x.shape)
-    return _Rule(x.ravel(), wf.ravel())
-
-
-def _cis(phase: np.ndarray) -> np.ndarray:
-    """exp(i phase) for a real phase: one cos and one sin, no complex exp."""
-    out = np.empty(phase.shape, dtype=complex)
-    np.cos(phase, out=out.real)
-    np.sin(phase, out=out.imag)
-    return out
+    return _Rule(x.ravel(), wf.ravel(), center)
 
 
 def _apply_rule(rule: _Rule, k_arr: np.ndarray, kernel) -> np.ndarray:
@@ -355,45 +357,34 @@ def _apply_rule(rule: _Rule, k_arr: np.ndarray, kernel) -> np.ndarray:
     return out
 
 
-def _piece_direct(model: BarrierModel, rule: _Rule, piece: _Piece,
-                  channel: Channel, sign: SignLabel,
-                  k_arr: np.ndarray) -> np.ndarray:
-    """Piece values at the given wave numbers, conjugation folded in.
+def _fourier_direct(rule: _Rule, kappa: np.ndarray) -> np.ndarray:
+    """F of the rule's region at the given signed wave numbers."""
+    shift = rule.x - rule.center
+    return _apply_rule(rule, kappa, lambda k: _cis(np.outer(k, shift)))
 
-    Each value is one product of a kernel with the region's rule: for the
-    interior piece the eigenfunction itself, for an exterior piece
-    exp(i s k (x - x0)), which carries the demodulation by the region's
-    centre x0, times the matching coefficient.
+
+def _interior_direct(model: BarrierModel, rule: _Rule, channel: Channel,
+                     family: SignLabel, k_arr: np.ndarray) -> np.ndarray:
+    """Integrals of f against the family's eigenfunction over the rule."""
+    return _apply_rule(rule, k_arr, lambda k: _wave_grid(
+        model, _solve(model, (model.hbar * k) ** 2 / (2.0 * model.mass)),
+        channel, family, rule.x, include_prefactor=False))
+
+
+def _region_fourier(f: TestFunction, fs: TestFunction, region,
+                    spec: QuadratureSpec) -> _Rule:
+    """The rule of one region with its F built: see module docstring.
+
+    F is built on first use and kept on the memoized rule, so both
+    channels, both sign families and the momentum analysis share one build.
     """
-    conjugate = sign is SignLabel.PLUS
-    # The plus analysis integrates against conj(plus wave) = minus wave.
-    family = SignLabel.MINUS if conjugate else SignLabel.PLUS
-
-    def energies(k):
-        return (model.hbar * k) ** 2 / (2.0 * model.mass)
-
-    if piece.s == 0:
-        return _apply_rule(rule, k_arr, lambda k: _wave_grid(
-            model, _solve(model, energies(k)), channel, family, rule.x,
-            include_prefactor=False))
-    shift = rule.x - piece.demod
-    vals = _apply_rule(rule, k_arr,
-                       lambda k: _cis(piece.s * np.outer(k, shift)))
-    if piece.coeff == "one":
-        return vals
-    sol = _solve(model, energies(k_arr))
-    coeff = sol.t if piece.coeff == "trans" else (
-        sol.r_l if channel is Channel.LEFT else sol.r_r)
-    return vals * (np.conj(coeff) if conjugate else coeff)
-
-
-def _momentum_direct(model: BarrierModel, rule: _Rule, demod: float,
-                     p_arr: np.ndarray) -> np.ndarray:
-    """Plane-wave amplitudes at the given momenta, demodulated by demod."""
-    shift = rule.x - demod
-    norm = 1.0 / math.sqrt(2.0 * math.pi * model.hbar)
-    return norm * _apply_rule(rule, p_arr, lambda p: _cis(
-        np.outer(p, shift) * (-1.0 / model.hbar)))
+    rule = _region_rule(f, fs, region, spec)
+    if rule.fourier is None:
+        rule.fourier = _chebyshev_panels(
+            lambda kappa: _fourier_direct(rule, kappa), -spec.k_max,
+            spec.k_max, _seed_panels(2.0 * spec.k_max, region[1] - region[0]),
+            _piece_tol(spec), spec.max_subdivisions)
+    return rule
 
 
 class EnergyAmplitude:
@@ -403,12 +394,15 @@ class EnergyAmplitude:
     energy E > 0 (scalar or array), exactly zero beyond the truncation
     energy.  osc_hint reports the dominant oscillation rate in k for
     integrals over the spectrum; max_interp_error bounds the cache error.
+    cache_points counts, per channel, the distinct interpolation points its
+    amplitude reads; a region cache that several pieces share counts once.
     """
 
     __slots__ = ("model", "sign", "hbar", "mass", "k_min", "k_max", "scale",
                  "max_interp_error", "cache_points", "osc_hint", "_pieces")
 
     def __init__(self, model, sign, spec: QuadratureSpec, pieces, scale=1.0):
+        """pieces maps each channel to its list of _Piece."""
         self.model = model
         self.sign = sign
         self.hbar = model.hbar
@@ -417,25 +411,61 @@ class EnergyAmplitude:
         self.k_max = spec.k_max
         self.scale = scale
         self._pieces = pieces
-        self.cache_points = {c: sum(p.points for p in ps) for c, ps in pieces.items()}
+        self.cache_points = {
+            c: sum({id(p.panels): p.panels.points for p in ps}.values())
+            for c, ps in pieces.items()}
         self.max_interp_error = scale * _INTERP_SAFETY * _PIECES_PER_CHANNEL * max(
-            (p.max_err for ps in pieces.values() for p in ps), default=0.0)
+            (p.panels.max_err for ps in pieces.values() for p in ps), default=0.0)
         self.osc_hint = max(
-            (abs(p.demod) for ps in pieces.values() for p in ps), default=0.0)
+            (abs(p.x0) for ps in pieces.values() for p in ps), default=0.0)
 
     @property
     def e_cut(self) -> float:
         return (self.hbar * self.k_max) ** 2 / (2.0 * self.mass)
 
+    def _reduced(self, k: np.ndarray, sol, channels) -> dict:
+        """Amplitudes over the spectral prefactor at wave numbers k.
+
+        sol holds the matching data at k (or at k clipped to the cache
+        range); the exterior pieces take their coefficients from it.  Each
+        region's plane-wave values are formed once for all channels.
+        """
+        kc = np.clip(k, self.k_min, self.k_max)
+        t, r_l, r_r = sol.t, sol.r_l, sol.r_r
+        if self.sign is SignLabel.PLUS:
+            t, r_l, r_r = np.conj(t), np.conj(r_l), np.conj(r_r)
+        waves = {}
+        out = {}
+        for channel in channels:
+            coeff = {"one": 1.0, "trans": t,
+                     "refl": r_l if channel is Channel.LEFT else r_r}
+            total = np.zeros(k.shape, dtype=complex)
+            for kind, s, panels, x0 in self._pieces[channel]:
+                if not s:
+                    total += panels(kc)
+                    continue
+                key = (id(panels), s)
+                if key not in waves:
+                    waves[key] = panels(s * kc) * _cis(s * x0 * kc)
+                total += coeff[kind] * waves[key]
+            total *= self.scale
+            total[k > self.k_max] = 0.0
+            out[channel] = total
+        return out
+
+    def _at(self, sol, channels=(Channel.LEFT, Channel.RIGHT)) -> dict:
+        """Amplitudes of the channels at the energies of the matching
+        solution sol, which supplies their coefficients: no second solve."""
+        k = sol.k
+        pref = energy_prefactor(self.model, np.clip(k, self.k_min, None))
+        return {c: v * pref for c, v in self._reduced(k, sol, channels).items()}
+
     def reduced(self, k, channel: Channel):
         """Amplitude divided by the spectral prefactor, as a function of k."""
         k_arr = np.atleast_1d(np.asarray(k, dtype=float))
         kc = np.clip(k_arr, self.k_min, self.k_max)
-        total = np.zeros(k_arr.shape, dtype=complex)
-        for piece in self._pieces[channel]:
-            total += piece.assemble(kc)
-        total *= self.scale
-        total[k_arr > self.k_max] = 0.0
+        sol = _solve(self.model, (self.hbar * kc) ** 2 / (2.0 * self.mass))
+        total = self._reduced(k_arr, sol, (channel,))[channel]
         if np.ndim(k) == 0:
             return complex(total[0])
         return total
@@ -460,23 +490,23 @@ class MomentumAmplitude:
     __slots__ = ("model", "hbar", "p_max", "demod", "panels", "scale",
                  "max_interp_error", "cache_points", "osc_hint")
 
-    def __init__(self, model, spec: QuadratureSpec, demod, panels, points,
-                 max_err, scale=1.0):
+    def __init__(self, model, spec: QuadratureSpec, demod, panels: _Panels,
+                 scale=1.0):
         self.model = model
         self.hbar = model.hbar
         self.p_max = model.hbar * spec.k_max
         self.demod = demod
         self.panels = panels
         self.scale = scale
-        self.cache_points = points
-        self.max_interp_error = scale * _INTERP_SAFETY * max_err
+        self.cache_points = panels.points
+        self.max_interp_error = scale * _INTERP_SAFETY * panels.max_err
         self.osc_hint = abs(demod) / model.hbar
 
     def amplitude(self, p):
         p_arr = np.atleast_1d(np.asarray(p, dtype=float))
         pc = np.clip(p_arr, -self.p_max, self.p_max)
-        vals = self.scale * self.panels(pc) * np.exp(
-            -1j * self.demod * pc / self.hbar)
+        vals = self.scale * self.panels(pc) * _cis(
+            -self.demod * pc / self.hbar)
         vals[np.abs(p_arr) > self.p_max] = 0.0
         if np.ndim(p) == 0:
             return complex(vals[0])
@@ -503,8 +533,8 @@ def _tail_mass(edge: float, cut: float) -> float:
 
 def _energy_tail(amp: EnergyAmplitude) -> float:
     e_probe = amp.e_cut * (1.0 - 1e-12)
-    edge = sum(abs(amp.amplitude(e_probe, c)) ** 2
-               for c in (Channel.LEFT, Channel.RIGHT))
+    vals = amp._at(_solve(amp.model, np.array([e_probe])))
+    edge = sum(abs(v[0]) ** 2 for v in vals.values())
     return _tail_mass(edge, amp.e_cut)
 
 
@@ -541,25 +571,66 @@ def energy_transform(f: TestFunction, sign: SignLabel,
     scale = _amplitude_scale(f, lo, hi)
     fs = f if scale == 1.0 else f.scaled(1.0 / scale)
     k_lo = _K_EPS_FRACTION * spec.k_max
-    tol = _piece_tol(spec)
+    # The plus analysis integrates against conj(plus wave) = minus wave.
+    family = SignLabel.MINUS if sign is SignLabel.PLUS else SignLabel.PLUS
     pieces = {}
     for channel in (Channel.LEFT, Channel.RIGHT):
-        plist = _channel_pieces(model, channel, lo, hi, sign) if hi > lo else []
-        for piece in plist:
-            rule = _region_rule(f, fs, piece.region, spec)
-            n0 = _seed_panels(spec.k_max - k_lo,
-                              piece.region[1] - piece.region[0])
-
-            def direct(k_arr, piece=piece, channel=channel, rule=rule):
-                return _piece_direct(model, rule, piece, channel, sign, k_arr)
-
-            piece.panels, piece.points, piece.max_err = _chebyshev_panels(
-                direct, k_lo, spec.k_max, n0, tol, spec.max_subdivisions)
+        plist = []
+        for region, s, kind in (_channel_pieces(model, channel, lo, hi, sign)
+                                if hi > lo else []):
+            if s:
+                rule = _region_fourier(f, fs, region, spec)
+                plist.append(_Piece(kind, s, rule.fourier, rule.center))
+                continue
+            rule = _region_rule(f, fs, region, spec)
+            panels = _chebyshev_panels(
+                lambda k, rule=rule, channel=channel: _interior_direct(
+                    model, rule, channel, family, k),
+                k_lo, spec.k_max,
+                _seed_panels(spec.k_max - k_lo, region[1] - region[0]),
+                _piece_tol(spec), spec.max_subdivisions)
+            plist.append(_Piece(kind, 0, panels, 0.0))
         pieces[channel] = plist
     amp = EnergyAmplitude(model, sign, spec, pieces, scale)
     _certify_cutoff(amp, _energy_tail(amp), f, spec, "k_max")
     memo[key] = amp
     return amp
+
+
+def _synthesis_kernel(amp: EnergyAmplitude, sol, x: np.ndarray,
+                      channels=(Channel.LEFT, Channel.RIGHT)) -> np.ndarray:
+    """Sum over channels of amp_c(E) u_c(x; E), on (energies of sol) x (x).
+
+    Outside the barrier the sum is alpha(k) exp(ikx) + beta(k) exp(-ikx),
+    formed from one table of exp(ikx); inside it, _wave_grid's rows.
+    """
+    model = amp.model
+    left, right = x < model.a, x > model.b
+    mid = ~(left | right)
+    pref = energy_prefactor(model, sol.k)
+    zero = np.zeros(sol.k.size, dtype=complex)
+    vals = {c: v * pref for c, v in amp._at(sol, channels).items()}
+    a_l, a_r = vals.get(Channel.LEFT, zero), vals.get(Channel.RIGHT, zero)
+    t, r_l, r_r = sol.t, sol.r_l, sol.r_r
+    minus = amp.sign is SignLabel.MINUS
+    if minus:
+        t, r_l, r_r = np.conj(t), np.conj(r_l), np.conj(r_r)
+    out = np.empty((sol.k.size, x.size), dtype=complex)
+    # Plus-family weights of exp(ikx) and exp(-ikx) on each side; the minus
+    # family conjugates the matching data and swaps the two waves.
+    for cols, w_in, w_out in ((left, a_l, a_l * r_l + a_r * t),
+                              (right, a_l * t + a_r * r_r, a_r)):
+        if cols.any():
+            if minus:
+                w_in, w_out = w_out, w_in
+            wave = _cis(np.outer(sol.k, x[cols]))
+            out[:, cols] = w_in[:, None] * wave + w_out[:, None] * np.conj(wave)
+    if mid.any():
+        out[:, mid] = sum(
+            vals[c][:, None] * _wave_grid(model, sol, c, amp.sign, x[mid],
+                                          include_prefactor=False)
+            for c in channels)
+    return out
 
 
 def synthesize_energy(amp: EnergyAmplitude, x, spec: QuadratureSpec,
@@ -572,19 +643,13 @@ def synthesize_energy(amp: EnergyAmplitude, x, spec: QuadratureSpec,
     """
     model = amp.model
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    hbar, mass = model.hbar, model.mass
 
     def g(e):
-        sol = _solve(model, e)
-        total = np.zeros((e.size, x_arr.size), dtype=complex)
-        for channel in channels:
-            total += np.atleast_1d(amp.amplitude(e, channel))[:, None] * \
-                _wave_grid(model, sol, channel, amp.sign, x_arr)
-        return total
+        return _synthesis_kernel(amp, _solve(model, e), x_arr, channels)
 
     hint = float(np.max(np.abs(x_arr))) + amp.osc_hint
-    vals, errs, _ = integrate_energy_batch(g, spec, hbar=hbar, mass=mass,
-                                           freq_hint=hint)
+    vals, errs, _ = integrate_energy_batch(g, spec, hbar=model.hbar,
+                                           mass=model.mass, freq_hint=hint)
     if np.ndim(x) == 0:
         return complex(vals[0])
     return vals
@@ -615,22 +680,20 @@ def momentum_transform(f: TestFunction, direction: str = "analysis",
     if hi <= lo:
         zero = _Panels(np.array([-p_max, p_max]),
                        np.zeros((1, _DEGREE + 1), dtype=complex))
-        amp = MomentumAmplitude(model, spec, 0.0, zero, 0, 0.0)
+        amp = MomentumAmplitude(model, spec, 0.0, zero)
         memo[spec] = amp
         return amp
-    demod = 0.5 * (lo + hi)
-    tol = _CACHE_TOL_FRACTION * spec.abs_tol
     fscale = _amplitude_scale(f, lo, hi)
     fs = f if fscale == 1.0 else f.scaled(1.0 / fscale)
-    rule = _region_rule(f, fs, (lo, hi), spec)
-
-    def direct(p_arr):
-        return _momentum_direct(model, rule, demod, p_arr)
-
-    panels, npts, worst = _chebyshev_panels(
-        direct, -p_max, p_max, _seed_panels(2.0 * spec.k_max, hi - lo), tol,
-        spec.max_subdivisions)
-    amp = MomentumAmplitude(model, spec, demod, panels, npts, worst, fscale)
+    rule = _region_fourier(f, fs, (lo, hi), spec)
+    fourier = rule.fourier
+    # <p|f> = norm * exp(-i p x0 / hbar) * F(-p / hbar): F's panels reversed,
+    # with the odd Chebyshev coefficients negated.
+    norm = 1.0 / math.sqrt(2.0 * math.pi * hbar)
+    parity = norm * (-1.0) ** np.arange(_DEGREE + 1)
+    panels = _Panels(-hbar * fourier.edges[::-1], fourier.coeffs[::-1] * parity,
+                     fourier.points, norm * fourier.max_err)
+    amp = MomentumAmplitude(model, spec, rule.center, panels, fscale)
     edge = abs(amp.amplitude(p_max)) ** 2 + abs(amp.amplitude(-p_max)) ** 2
     _certify_cutoff(amp, _tail_mass(edge, p_max), f, spec, "p_max")
     memo[spec] = amp
@@ -644,8 +707,8 @@ def synthesize_momentum(amp: MomentumAmplitude, x, spec: QuadratureSpec):
     scale = 1.0 / math.sqrt(2.0 * math.pi * hbar)
 
     def g(p):
-        return np.atleast_1d(amp.amplitude(p))[:, None] * np.exp(
-            1j * np.outer(p, x_arr) / hbar) * scale
+        return np.atleast_1d(amp.amplitude(p))[:, None] * _cis(
+            np.outer(p, x_arr) / hbar) * scale
 
     hint = (float(np.max(np.abs(x_arr))) + abs(amp.demod)) / hbar
     vals, errs, _ = integrate_line_batch(g, spec, lo=-amp.p_max, hi=amp.p_max,
@@ -696,10 +759,12 @@ def _energy_overlap(f: TestFunction, g: TestFunction, sign: SignLabel,
 
     def integrand(e):
         w = e ** weight_power if weight_power else 1.0
+        sol = _solve(model, e)
+        vf = af._at(sol)
+        vg = vf if ag is af else ag._at(sol)
         total = np.zeros(np.shape(e), dtype=complex)
         for channel in (Channel.LEFT, Channel.RIGHT):
-            total += np.conj(np.atleast_1d(af.amplitude(e, channel))) * \
-                np.atleast_1d(ag.amplitude(e, channel))
+            total += np.conj(vf[channel]) * vg[channel]
         return total * w
 
     res = integrate_energy(integrand, spec, hbar=model.hbar, mass=model.mass,
@@ -791,7 +856,8 @@ def spectral_probability(f: TestFunction, e_lo: float, e_hi: float,
     for channel in (Channel.LEFT, Channel.RIGHT):
 
         def integrand(e, channel=channel):
-            return np.abs(np.atleast_1d(amp.amplitude(e, channel))) ** 2 + 0j
+            vals = amp._at(_solve(model, e), (channel,))[channel]
+            return np.abs(vals) ** 2 + 0j
 
         if hi_eff > e_lo:
             res = integrate_energy(integrand, spec, hbar=model.hbar,

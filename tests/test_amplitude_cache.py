@@ -159,7 +159,9 @@ def _dense_integral(g, lo, hi):
 ])
 def test_spatial_rule_matches_adaptive_quadrature(packet):
     # The pieces are evaluated directly, so that the cutoff test, which
-    # refuses the last two packets, does not skip the comparison.
+    # refuses the last two packets, does not skip the comparison.  An
+    # exterior piece is its matching coefficient times the region's F at
+    # the piece's signed wave numbers.
     f = build_test_function(MODEL, packet)
     lo, hi, fs = _scaled_copy(f)
     ispec = tr._inner_spec(SPEC)
@@ -169,36 +171,39 @@ def test_spatial_rule_matches_adaptive_quadrature(packet):
     for sign in (SignLabel.PLUS, SignLabel.MINUS):
         family = SignLabel.MINUS if sign is SignLabel.PLUS else SignLabel.PLUS
         for channel in (Channel.LEFT, Channel.RIGHT):
-            for piece in tr._channel_pieces(MODEL, channel, lo, hi, sign):
-                rule = tr._region_rule(f, fs, piece.region, SPEC)
-                got = tr._piece_direct(MODEL, rule, piece, channel, sign,
-                                       PROBE_K)
-                if piece.s == 0:
+            for region, s, kind in tr._channel_pieces(MODEL, channel, lo, hi,
+                                                      sign):
+                rule = tr._region_rule(f, fs, region, SPEC)
+                if s == 0:
+                    got = tr._interior_direct(MODEL, rule, channel, family,
+                                              PROBE_K)
+
                     def kernel(x):
                         return _wave_grid(MODEL, sol, channel, family, x,
                                           include_prefactor=False).T
                     coeff = 1.0
                 else:
-                    def kernel(x, piece=piece):
-                        return np.exp(1j * piece.s * np.outer(
-                            x - piece.demod, PROBE_K))
+                    def kernel(x, s=s, x0=0.5 * (region[0] + region[1])):
+                        return np.exp(1j * s * np.outer(x - x0, PROBE_K))
                     coeff = {"one": 1.0, "trans": sol.t,
                              "refl": sol.r_l if channel is Channel.LEFT
-                             else sol.r_r}[piece.coeff]
+                             else sol.r_r}[kind]
                     if sign is SignLabel.PLUS:
                         coeff = np.conj(coeff)
+                    got = coeff * tr._fourier_direct(rule, s * PROBE_K)
                 ref = _dense_integral(
                     lambda x: evaluate(fs, x)[:, None] * kernel(x),
-                    piece.region[0], piece.region[1])
+                    region[0], region[1])
                 assert np.max(np.abs(got - coeff * ref)) <= ispec.abs_tol
-                kinds.add(piece.coeff)
+                kinds.add(kind)
     assert kinds >= {"one", "refl", "trans"}
     if lo < MODEL.a < hi:
         assert "interior" in kinds
     rule = tr._region_rule(f, fs, (lo, hi), SPEC)
     demod = 0.5 * (lo + hi)
     momenta = MODEL.hbar * np.concatenate([-PROBE_K[::-1], PROBE_K])
-    got = tr._momentum_direct(MODEL, rule, demod, momenta)
+    norm = 1.0 / math.sqrt(2.0 * math.pi * MODEL.hbar)
+    got = norm * tr._fourier_direct(rule, -momenta / MODEL.hbar)
     ref = _dense_integral(
         lambda x: evaluate(fs, x)[:, None] * np.exp(
             -1j * np.outer(x - demod, momenta) / MODEL.hbar), lo, hi)
@@ -241,3 +246,65 @@ def test_energy_synthesis_node_economy(monkeypatch):
     rebuilt = synthesize_energy(amp, probes, SPEC)
     assert np.max(np.abs(rebuilt - reference)) < RECONSTRUCTION_TOL
     assert sum(nodes) <= 5616
+
+
+def test_one_sided_packet_builds_one_cache(monkeypatch):
+    # Both sign families of both channels and the momentum analysis read
+    # the one F of the packet's only region.
+    f = build_test_function(MODEL, GaussianPacket(-20.0, 1.0, 3.0))
+    builds = []
+
+    def counting_panels(*args, **kwargs):
+        builds.append(args[1:3])
+        return chebyshev_panels(*args, **kwargs)
+
+    chebyshev_panels = tr._chebyshev_panels
+    monkeypatch.setattr(tr, "_chebyshev_panels", counting_panels)
+    amps = [energy_transform(f, sign, SPEC) for sign in SignLabel]
+    mom = momentum_transform(f, "analysis", SPEC)
+    assert builds == [(-SPEC.k_max, SPEC.k_max)]
+    # Each channel counts the shared cache once, as does the momentum side.
+    points = {amp.cache_points[c] for amp in amps for c in Channel}
+    assert points == {mom.cache_points}
+
+
+@pytest.mark.parametrize("packet", [
+    GaussianPacket(center=-20.0, width=1.0, momentum=3.0, poly_degree=2),
+    GaussianPacket(center=0.5, width=1.0),
+])
+def test_region_cache_matches_dense_reference(packet):
+    # The cached F of each region, read at the signed wave numbers of both
+    # families and at -p / hbar, against the dense rule, within the cache's
+    # own tolerance.
+    f = build_test_function(MODEL, packet)
+    lo, hi, fs = _scaled_copy(f)
+    model = MODEL
+    regions = {(lo, hi), (lo, min(model.a, hi)), (max(model.b, lo), hi)}
+    kappa = np.concatenate([-PROBE_K[::-1], PROBE_K])
+    for region in regions:
+        if not region[1] > region[0]:
+            continue
+        rule = tr._region_fourier(f, fs, region, SPEC)
+        x0 = 0.5 * (region[0] + region[1])
+        ref = _dense_integral(
+            lambda x: evaluate(fs, x)[:, None] * np.exp(
+                1j * np.outer(x - x0, kappa)), region[0], region[1])
+        assert np.max(np.abs(rule.fourier(kappa) - ref)) <= tr._piece_tol(SPEC)
+
+
+@pytest.mark.parametrize("sign", list(SignLabel))
+def test_synthesis_kernel_matches_channel_sum(sign):
+    f = build_test_function(MODEL, GaussianPacket(-20.0, 1.0, 3.0))
+    amp = energy_transform(f, sign, SPEC)
+    energies = np.concatenate([np.linspace(0.05, amp.e_cut, 41),
+                               [MODEL.v0, 0.5 * MODEL.v0]])
+    sol = _solve(MODEL, energies)
+    x = np.concatenate([np.linspace(MODEL.a - 3.0, MODEL.b + 3.0, 37),
+                        [MODEL.a, MODEL.b, -25.0, 25.0]])
+    for channels in ((Channel.LEFT, Channel.RIGHT), (Channel.LEFT,),
+                     (Channel.RIGHT,)):
+        got = tr._synthesis_kernel(amp, sol, x, channels)
+        ref = sum(amp.amplitude(energies, c)[:, None]
+                  * _wave_grid(MODEL, sol, c, sign, x) for c in channels)
+        scale = np.max(np.abs(ref), axis=1, keepdims=True)
+        assert np.all(np.abs(got - ref) <= 1e-13 * scale)

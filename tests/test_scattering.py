@@ -14,6 +14,7 @@ from barrierkets import (
     DomainError,
     SignLabel,
     s_matrix,
+    scattering_wave,
     solve_matching,
 )
 from oracles import rk4_scattering
@@ -139,3 +140,21 @@ def test_sign_labels_exist():
     assert SignLabel.MINUS.value == "minus"
     assert Channel.LEFT.value == "left"
     assert Channel.RIGHT.value == "right"
+
+
+def test_unscaled_interior_overflow_raises():
+    # |a| Im kappa is about 1400 here: the unscaled amplitude a_l would be
+    # e^1400 times O(1).  Everything else stays finite, and the suite turns
+    # any RuntimeWarning into an error.
+    m = BarrierModel(a=10.0, b=11.0, v0=1e4)
+    sol = solve_matching(m, 1.0)
+    assert abs(sol.t) ** 2 + abs(sol.r_l) ** 2 == pytest.approx(1.0, abs=1e-12)
+    assert all(cmath.isfinite(v) for v in sol.sc_l + sol.sc_r)
+    for name in ("a_l", "a_r"):
+        with pytest.raises(ConditioningError):
+            getattr(sol, name)
+    assert cmath.isfinite(sol.b_l) and cmath.isfinite(sol.b_r)
+    x = np.linspace(9.0, 12.0, 31)
+    for channel in Channel:
+        assert np.all(np.isfinite(scattering_wave(m, 1.0, channel,
+                                                  SignLabel.PLUS, x)))
