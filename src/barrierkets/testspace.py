@@ -232,11 +232,14 @@ class TestFunction:
     Treat instances as immutable.  Derivatives and the images under Q, P
     and H are cached as chains, so repeated evaluation at increasing order,
     and seminorms whose operator words share a prefix, repeat no symbolic
-    work; the nonzero rows each evaluation contracts are found once.
+    work; the nonzero rows each evaluation contracts are found once.  The
+    support interval per radius and the self inner product (f, f) per
+    QuadratureSpec are kept too, so a norm asked for again integrates
+    nothing.
     """
 
     __slots__ = ("model", "terms", "_deriv", "_images", "_plan",
-                 "__weakref__")
+                 "_supports", "_self_products", "__weakref__")
     order_cap = ORDER_CAP
 
     def __init__(self, model: BarrierModel, terms):
@@ -245,6 +248,8 @@ class TestFunction:
         self._deriv = None
         self._images = {}
         self._plan = None
+        self._supports = {}
+        self._self_products = {}
 
     def derivative(self) -> "TestFunction":
         if self._deriv is None:
@@ -272,6 +277,12 @@ class TestFunction:
         polynomial growth up to |x| = radius and for the worst windowed-pole
         amplification, so it stays valid for high derivatives.
         """
+        interval = self._supports.get(radius)
+        if interval is None:
+            interval = self._supports[radius] = self._support_bound(radius)
+        return interval
+
+    def _support_bound(self, radius: float) -> tuple[float, float]:
         lo = math.inf
         hi = -math.inf
         s = WINDOW_SHARPNESS_FRACTION * self.model.width
@@ -341,8 +352,17 @@ def evaluate(f: TestFunction, x, n: int = 0):
     return total
 
 
+def _member(f, name: str) -> None:
+    """Refuse, with a typed error, a function outside the algebra."""
+    if not isinstance(f, TestFunction):
+        raise DomainError(
+            f"{name} needs a member of the test-function space, got "
+            f"{type(f).__name__}; only evaluate accepts functions outside it")
+
+
 def apply_observable(observable: Observable, f: TestFunction) -> TestFunction:
     """Apply Q (multiply by x), P (-i hbar d/dx) or H to a test function."""
+    _member(f, "apply_observable")
     image = f._images.get(observable)
     if image is None:
         image = f._images[observable] = _apply(observable, f)
@@ -417,6 +437,8 @@ def slow_decay_example(model: BarrierModel) -> _SlowDecay:
 
 def lincomb(alpha: complex, f: TestFunction, beta: complex, g: TestFunction) -> TestFunction:
     """alpha * f + beta * g over a shared model."""
+    _member(f, "lincomb")
+    _member(g, "lincomb")
     if f.model != g.model:
         raise DomainError("cannot combine functions over different models")
     return TestFunction(f.model, _collect(
@@ -430,23 +452,44 @@ def _support(f: TestFunction, spec: QuadratureSpec) -> tuple[float, float]:
     return max(lo, -spec.spatial_radius), min(hi, spec.spatial_radius)
 
 
+def _product(f: TestFunction, g: TestFunction, x: np.ndarray) -> np.ndarray:
+    """conj(f) * g on x; f is sampled once when g is f."""
+    v = evaluate(f, x)
+    return np.conj(v) * (v if g is f else evaluate(g, x))
+
+
 def inner_product(f: TestFunction, g: TestFunction, spec: QuadratureSpec) -> complex:
-    """L2 inner product (f, g), antilinear in f."""
+    """L2 inner product (f, g), antilinear in f.
+
+    (f, f) is integrated once per spec and then kept on f.
+    """
+    _member(f, "inner_product")
+    _member(g, "inner_product")
     if f.model != g.model:
         raise DomainError("cannot pair functions over different models")
+    if f is g:
+        value = f._self_products.get(spec)
+        if value is None:
+            value = f._self_products[spec] = _overlap(f, f, spec)
+        return value
+    return _overlap(f, g, spec)
+
+
+def _overlap(f: TestFunction, g: TestFunction, spec: QuadratureSpec) -> complex:
     lo_f, hi_f = _support(f, spec)
     lo_g, hi_g = _support(g, spec)
     lo, hi = max(lo_f, lo_g), min(hi_f, hi_g)
     if hi <= lo:
         return 0j
     hint = f.max_phase() + g.max_phase()
-    res = integrate_line(lambda x: np.conj(evaluate(f, x)) * evaluate(g, x),
+    res = integrate_line(lambda x: _product(f, g, x),
                          spec, lo=lo, hi=hi, freq_hint=hint)
     return res.value
 
 
 def seminorm(f: TestFunction, n: int, m: int, l: int, spec: QuadratureSpec) -> float:
     """The norm of P^n Q^m H^l f (H applied first, then Q, then P)."""
+    _member(f, "seminorm")
     for v, name in ((n, "n"), (m, "m"), (l, "l")):
         if v < 0:
             raise DomainError(f"seminorm index {name} must be >= 0")

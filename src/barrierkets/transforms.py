@@ -86,7 +86,8 @@ from .quadrature import (
 )
 from .scattering import Channel, SignLabel, _solve
 from .eigenbasis import _cis, _wave_grid, energy_prefactor
-from .testspace import TestFunction, _support, evaluate, inner_product
+from .testspace import TestFunction, _member, _product, _support, evaluate, \
+    inner_product
 
 __all__ = [
     "EnergyAmplitude",
@@ -562,6 +563,7 @@ def energy_transform(f: TestFunction, sign: SignLabel,
     Raises AccuracyError, with the amplitude as its value, when the part of
     f beyond the cutoff energy cannot be neglected at spec.abs_tol.
     """
+    _member(f, "energy_transform")
     memo = _ENERGY_MEMO.setdefault(f, {})
     key = (sign, spec)
     if key in memo:
@@ -663,6 +665,7 @@ def momentum_transform(f: TestFunction, direction: str = "analysis",
     callable that evaluates the inverse transform of f's analysis pointwise,
     which reproduces f up to quadrature tolerance.
     """
+    _member(f, "momentum_transform")
     if spec is None:
         spec = QuadratureSpec()
     if direction == "synthesis":
@@ -729,7 +732,7 @@ def _position_overlap(f: TestFunction, g: TestFunction, spec: QuadratureSpec,
 
     def integrand(x):
         w = x ** weight_power if weight_power else 1.0
-        return np.conj(evaluate(f, x)) * evaluate(g, x) * w
+        return _product(f, g, x) * w
 
     res = integrate_line(integrand, spec, lo=lo, hi=hi,
                          freq_hint=f.max_phase() + g.max_phase())

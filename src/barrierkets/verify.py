@@ -27,12 +27,14 @@ from .eigenbasis import _wave_grid
 from .testspace import (
     GaussianPacket,
     TestFunction,
+    _member,
     _support,
     apply_observable,
     build_test_function,
     evaluate,
     inner_product,
     lincomb,
+    seminorm,
     slow_decay_example,
 )
 from .transforms import energy_transform, momentum_transform
@@ -111,10 +113,6 @@ def default_battery(model: BarrierModel) -> list:
     return [build_test_function(model, p) for p in shapes]
 
 
-def _norm(f: TestFunction, spec: QuadratureSpec) -> float:
-    return math.sqrt(max(inner_product(f, f, spec).real, 0.0))
-
-
 def _packet_label(i: int, f: TestFunction) -> str:
     if f.terms:
         c, w = f.terms[0].gauss
@@ -153,7 +151,7 @@ def check_eigen_equation(model: BarrierModel, energy: float, channel: Channel,
             lhs = evaluate(af, energy)
             rhs = energy * evaluate(f, energy)
         raw = abs(lhs - rhs)
-        nf = _norm(f, spec)
+        nf = seminorm(f, 0, 0, 0, spec)
         resid = raw / ((1.0 + abs(energy)) * nf) if nf > 0.0 else raw
         witnesses.append((_packet_label(i, f), resid))
         worst = max(worst, resid)
@@ -195,7 +193,7 @@ def check_eigenbra_conjugation(model: BarrierModel, energy: float,
                                  freq_hint=k + f.max_phase()).value
         else:
             bra = 0j
-        nf = _norm(f, spec)
+        nf = seminorm(f, 0, 0, 0, spec)
         conj_resid = abs(bra - np.conj(amp))
         conj_resid = conj_resid / nf if nf > 0.0 else conj_resid
         haf = apply_observable(Observable.H, f)
@@ -353,7 +351,7 @@ def check_commutators(f: TestFunction, g: TestFunction,
     pg = inner_product(f, apply_observable(Observable.P, g), spec)
     r2 = abs(inner_product(f, hq, spec) + (1j * hbar / mass) * pg)
     r3 = abs(inner_product(f, hp, spec))
-    nf, ng = _norm(f, spec), _norm(g, spec)
+    nf, ng = seminorm(f, 0, 0, 0, spec), seminorm(g, 0, 0, 0, spec)
     scale = nf * ng
     if scale > 0.0:
         r1, r2, r3 = r1 / scale, r2 / scale, r3 / scale
@@ -389,6 +387,7 @@ def check_invariance_battery(f: TestFunction, max_total_order: int,
     within the bound and confirms each image has a finite norm.  A symbolic
     capability overflow yields an inconclusive report instead of a failure.
     """
+    _member(f, "check_invariance_battery")
     if max_total_order > f.order_cap:
         raise DomainError(
             f"requested order {max_total_order} exceeds the cap {f.order_cap}")
@@ -399,7 +398,7 @@ def check_invariance_battery(f: TestFunction, max_total_order: int,
             g = f
             for letter in reversed(word):
                 g = apply_observable(letter, g)
-            norm = _norm(g, spec)
+            norm = seminorm(g, 0, 0, 0, spec)
             name = "".join(o.name for o in word) or "identity"
             if not math.isfinite(norm):
                 witnesses.append((name, math.inf))

@@ -13,14 +13,22 @@ from barrierkets import (
     GaussianPacket,
     Observable,
     QuadratureSpec,
+    SignLabel,
     apply_observable,
     build_test_function,
+    check_invariance_battery,
+    default_battery,
+    energy_transform,
     evaluate,
     inner_product,
+    integrate_line,
     lincomb,
+    momentum_transform,
     seminorm,
     slow_decay_example,
 )
+from barrierkets import testspace as ts
+from barrierkets import transforms as tr
 from oracles import hermite_gauss_norm_sq, mp_derivative, packet_expression, \
     quad_complex
 
@@ -29,6 +37,12 @@ SPEC = QuadratureSpec()
 PACKET = GaussianPacket(center=-20.0, width=1.0, momentum=3.0)
 NEAR_PACKET = GaussianPacket(center=2.5, width=1.5, momentum=-2.0,
                              poly_degree=1)
+# A packet from the gate's criterion-05 distribution.
+GATE_PACKET = GaussianPacket(center=18.7, width=1.3, momentum=-2.6,
+                             poly_degree=2)
+# The seminorm table of criterion 09: every (n, m, l) with n + m + 2l <= 8.
+C09_ORDERS = [(n, m, l) for l in range(5) for m in range(9) for n in range(9)
+              if n + m + 2 * l <= 8]
 
 
 def _pointwise(packet):
@@ -235,3 +249,104 @@ def test_lincomb_rejects_model_mixing():
         lincomb(1.0, f, 1.0, other)
     with pytest.raises(DomainError):
         inner_product(f, other, SPEC)
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: inner_product(g, g, SPEC),
+    lambda g: inner_product(build_test_function(MODEL, PACKET), g, SPEC),
+    lambda g: seminorm(g, 0, 0, 0, SPEC),
+    lambda g: apply_observable(Observable.Q, g),
+    lambda g: lincomb(1.0, build_test_function(MODEL, PACKET), 1.0, g),
+    lambda g: energy_transform(g, SignLabel.PLUS, SPEC),
+    lambda g: momentum_transform(g, "analysis", SPEC),
+    lambda g: check_invariance_battery(g, 2, SPEC),
+], ids=["inner_product", "inner_product_mixed", "seminorm",
+        "apply_observable", "lincomb", "energy_transform",
+        "momentum_transform", "check_invariance_battery"])
+def test_non_member_is_refused_with_a_typed_error(call):
+    with pytest.raises(DomainError, match="only evaluate"):
+        call(slow_decay_example(MODEL))
+
+
+def _count_work(monkeypatch, module=ts):
+    """Record each evaluate call as (function, points), and the points of
+    every integrand call that module's integrate_line makes."""
+    calls, nodes = [], []
+
+    def counting_evaluate(f, x, n=0):
+        calls.append((f, np.size(x)))
+        return evaluate(f, x, n)
+
+    def counting_integrate(integrand, *args, **kwargs):
+        def counted(x):
+            nodes.append(np.size(x))
+            return integrand(x)
+        return integrate_line(counted, *args, **kwargs)
+
+    monkeypatch.setattr(ts, "evaluate", counting_evaluate)
+    monkeypatch.setattr(module, "integrate_line", counting_integrate)
+    return calls, nodes
+
+
+def test_seminorm_samples_its_image_once_per_node(monkeypatch):
+    f = build_test_function(MODEL, GATE_PACKET)
+    image = f
+    for observable in (Observable.H, Observable.Q, Observable.P):
+        image = apply_observable(observable, image)
+    calls, nodes = _count_work(monkeypatch)
+    seminorm(f, 1, 1, 1, SPEC)
+    assert all(g is image for g, _ in calls)
+    assert sum(points for _, points in calls) == sum(nodes) > 0
+
+
+def test_position_overlap_samples_f_once_per_node(monkeypatch):
+    f = build_test_function(MODEL, GATE_PACKET)
+    calls, nodes = _count_work(monkeypatch, tr)
+    tr._position_overlap(f, f, SPEC, weight_power=2)
+    assert all(g is f for g, _ in calls)
+    assert sum(points for _, points in calls) == sum(nodes) > 0
+
+
+def test_self_product_is_kept_per_spec(monkeypatch):
+    f = build_test_function(MODEL, GATE_PACKET)
+    calls, _ = _count_work(monkeypatch)
+    first = inner_product(f, f, SPEC)
+    assert calls
+    calls.clear()
+    # Asked again, under the same spec or an equal one, nothing is sampled.
+    assert inner_product(f, f, SPEC) == first
+    assert inner_product(f, f, QuadratureSpec()) == first
+    assert seminorm(f, 0, 0, 0, SPEC) == math.sqrt(first.real)
+    assert calls == []
+    tight = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)
+    assert inner_product(f, f, tight) == pytest.approx(first, rel=1e-10)
+    assert calls and all(g is f for g, _ in calls)
+
+
+def test_equal_but_distinct_functions_are_both_sampled(monkeypatch):
+    f = build_test_function(MODEL, GATE_PACKET)
+    g = build_test_function(MODEL, GATE_PACKET)
+    calls, nodes = _count_work(monkeypatch)
+    cross = inner_product(f, g, SPEC)
+    points_f = sum(n for h, n in calls if h is f)
+    points_g = sum(n for h, n in calls if h is g)
+    assert points_f == points_g == sum(nodes) > 0
+    # The one-sample integrand of (f, f) gives the same bits.
+    assert inner_product(f, f, SPEC) == cross
+
+
+def test_c09_table_matches_two_sample_reference():
+    f = default_battery(MODEL)[1]
+    radius = SPEC.spatial_radius
+    for n, m, l in C09_ORDERS:
+        g = f
+        for observable, count in ((Observable.H, l), (Observable.Q, m),
+                                  (Observable.P, n)):
+            for _ in range(count):
+                g = apply_observable(observable, g)
+        lo, hi = g.support_interval(radius)
+        ref = integrate_line(
+            lambda x: np.conj(evaluate(g, x)) * evaluate(g, x), SPEC,
+            lo=max(lo, -radius), hi=min(hi, radius),
+            freq_hint=2.0 * g.max_phase()).value
+        assert seminorm(f, n, m, l, SPEC) == math.sqrt(max(ref.real, 0.0))
