@@ -476,6 +476,7 @@ def inner_product(f: TestFunction, g: TestFunction, spec: QuadratureSpec) -> com
 
 
 def _overlap(f: TestFunction, g: TestFunction, spec: QuadratureSpec) -> complex:
+    """Integral of conj(f) g over the intersection of the two supports."""
     lo_f, hi_f = _support(f, spec)
     lo_g, hi_g = _support(g, spec)
     lo, hi = max(lo_f, lo_g), min(hi_f, hi_g)
