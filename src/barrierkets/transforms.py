@@ -10,10 +10,18 @@ overlaps are line integrals handled by the quadrature module.
 
 Amplitude values are needed at thousands of quadrature nodes, so transforms
 build a certified interpolation cache.  Outside the barrier every
-eigenfunction is a combination of plane waves exp(+-ikx) with coefficients
-1, r(k) and t(k), so on each exterior region R of f the amplitudes of both
-channels and both sign families, and the plane-wave (momentum) amplitudes,
-are all read from one function of a signed wave number,
+eigenfunction is A exp(ikx) + B exp(-ikx), its weights (A, B) on each side
+taken from the matching coefficients r_l(k), r_r(k) and t(k) by one table
+(de la Madrid, quant-ph/0502053):
+
+    plus family      left of a      right of b
+    channel LEFT     (1, r_l)       (t, 0)
+    channel RIGHT    (0, t)         (r_r, 1)
+
+and the minus family, the conjugate waves, has (conj B, conj A).  So on each
+exterior region R of f the amplitudes of both channels and both sign
+families, and the plane-wave (momentum) amplitudes, are all read from one
+function of a signed wave number,
 
     F_R(kappa) = integral over R of exp(i kappa (x - x0)) f(x) dx,
 
@@ -25,18 +33,18 @@ accepted when the last two coefficients of its Chebyshev series and its
 error at two held-out probe points are below a fixed fraction of the
 quadrature tolerance (the chopping test of Aurentz and Trefethen, ACM TOMS
 43, 2017); otherwise it is bisected, and its probes become nodes of its
-halves.  An exterior piece of an amplitude is then assembled as
+halves.  With G_R(kappa) = F_R(kappa) exp(i kappa x0), the integral of f
+against exp(i kappa x) over R, the exterior part of an amplitude is
 
-    coeff(k) * F_R(s k) * exp(i s k x0),
+    sum over the sides R of conj(A) G_R(-k) + conj(B) G_R(k),
 
-with s = +-1 the sign of the plane wave and coeff taken from the matching
-solution at k (conjugated for the plus family); the caller passes the
-matching solution it already holds, so one solve serves every amplitude an
-integrand reads.  The momentum amplitude reads F over the whole support at
-kappa = -p/hbar: its panels are F's, reversed, with the odd Chebyshev
-coefficients negated.  The barrier interior, when it meets the support, is
-one more piece per (channel, sign), integrated against the eigenfunction
-itself and interpolated on its own panels; it is short, so it is slow in k.
+with (A, B) read from the table at the matching solution at k; the caller
+passes the matching solution it already holds, so one solve serves every
+amplitude an integrand reads.  The momentum amplitude reads F over the whole
+support at kappa = -p/hbar.  The barrier interior, when it meets the
+support, is one more piece per (channel, sign), integrated against the
+eigenfunction itself and interpolated on its own panels; it is short, so it
+is slow in k.
 
 The spatial integrals behind every cache use one fixed rule per region of f:
 the composite 32-point Gauss-Legendre panels on which the adaptive
@@ -54,9 +62,10 @@ cutoff (see _tail_mass), and a build that would miss f by more than abs_tol
 in norm raises AccuracyError carrying the amplitude object instead of
 returning truncated answers.
 
-Synthesis outside the barrier sums the channels before it forms any wave:
-sum over c of amp_c(E) u_c(x; E) is alpha(k) exp(ikx) + beta(k) exp(-ikx)
-there, so one table of exp(ikx) per integrand call serves both channels.
+Synthesis contracts the same table the other way: outside the barrier,
+sum over c of amp_c(E) u_c(x; E) is (sum over c of amp_c A_c) exp(ikx) +
+(sum over c of amp_c B_c) exp(-ikx), so one table of exp(ikx) per integrand
+call serves both channels.
 
 Transforms are memoized per (function, sign, tolerance spec); caches are
 write-once and all callables are pure.
@@ -67,7 +76,6 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import replace as drep
-from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
@@ -103,7 +111,8 @@ __all__ = [
 ]
 
 # Fraction of spec.abs_tol allowed as interpolation error per assembled
-# amplitude; split over the four possible pieces of one channel.
+# amplitude; split over the four possible pieces of one channel (its three
+# exterior waves and the interior).
 _CACHE_TOL_FRACTION = 0.1
 _PIECES_PER_CHANNEL = 4
 # Reported interpolation bound inflates the largest accepted panel error
@@ -239,43 +248,21 @@ def _chebyshev_panels(direct, lo: float, hi: float, n0: int, tol: float,
     return _Panels(edges, np.concatenate(done_coeffs)[order], len(known), worst)
 
 
-def _channel_pieces(model: BarrierModel, channel: Channel, lo: float, hi: float,
-                    sign: SignLabel):
-    """(region, s, kind) of each piece of one channel's analysis kernel.
+def _exterior_weights(sol, sign: SignLabel):
+    """The table of the module docstring at the energies of sol.
 
-    The support is [lo, hi]; kind is "one", "refl" or "trans" for an
-    exterior plane wave exp(i s k x) and its matching coefficient, or
-    "interior" (s = 0) for the barrier interior.  Exponent signs start in
-    the plus-family convention; the plus analysis conjugates the kernel, so
-    its pieces carry the flipped effective sign.
+    Returns (left of a, right of b), each mapping a channel to the weights
+    (A, B) of A exp(ikx) + B exp(-ikx) in that channel's eigenfunction of
+    the given sign family.
     """
-    left = (lo, min(model.a, hi))
-    right = (max(model.b, lo), hi)
-    mid = (max(model.a, lo), min(model.b, hi))
-    flip = -1 if sign is SignLabel.PLUS else 1
-    if channel is Channel.LEFT:
-        exterior = [(left, +1, "one"), (left, -1, "refl"), (right, +1, "trans")]
-    else:
-        exterior = [(right, -1, "one"), (right, +1, "refl"), (left, -1, "trans")]
-    out = [(region, flip * s0, kind) for region, s0, kind in exterior
-           if region[1] > region[0]]
-    if mid[1] > mid[0]:
-        out.append((mid, 0, "interior"))
-    return out
-
-
-class _Piece(NamedTuple):
-    """One term of a channel's amplitude over the spectral prefactor.
-
-    An exterior piece (s = +-1) is coeff(k) * panels(s k) * exp(i s k x0),
-    with panels its region's F and coeff named by kind ("one", "refl" or
-    "trans"); the interior piece (s = 0) is panels(k) itself.
-    """
-
-    kind: str
-    s: int
-    panels: _Panels
-    x0: float
+    t, r_l, r_r = sol.t, sol.r_l, sol.r_r
+    left = {Channel.LEFT: (1.0, r_l), Channel.RIGHT: (0.0, t)}
+    right = {Channel.LEFT: (t, 0.0), Channel.RIGHT: (r_r, 1.0)}
+    if sign is SignLabel.MINUS:
+        return tuple({c: (np.conj(w_b), np.conj(w_a))
+                      for c, (w_a, w_b) in side.items()}
+                     for side in (left, right))
+    return left, right
 
 
 class _Rule:
@@ -396,14 +383,19 @@ class EnergyAmplitude:
     energy.  osc_hint reports the dominant oscillation rate in k for
     integrals over the spectrum; max_interp_error bounds the cache error.
     cache_points counts, per channel, the distinct interpolation points its
-    amplitude reads; a region cache that several pieces share counts once.
+    amplitude reads; a region cache that both channels share counts once
+    in each.
     """
 
     __slots__ = ("model", "sign", "hbar", "mass", "k_min", "k_max", "scale",
-                 "max_interp_error", "cache_points", "osc_hint", "_pieces")
+                 "max_interp_error", "cache_points", "osc_hint", "_sides",
+                 "_interior")
 
-    def __init__(self, model, sign, spec: QuadratureSpec, pieces, scale=1.0):
-        """pieces maps each channel to its list of _Piece."""
+    def __init__(self, model, sign, spec: QuadratureSpec, sides, interior,
+                 scale=1.0):
+        """sides holds the rule of the support's part left of a and right
+        of b, None where that part is empty; interior maps each channel to
+        its interior panels, or is empty."""
         self.model = model
         self.sign = sign
         self.hbar = model.hbar
@@ -411,14 +403,17 @@ class EnergyAmplitude:
         self.k_min = _K_EPS_FRACTION * spec.k_max
         self.k_max = spec.k_max
         self.scale = scale
-        self._pieces = pieces
+        self._sides = sides
+        self._interior = interior
+        caches = [rule.fourier for rule in sides if rule is not None]
         self.cache_points = {
-            c: sum({id(p.panels): p.panels.points for p in ps}.values())
-            for c, ps in pieces.items()}
+            c: sum(p.points for p in caches)
+            + (interior[c].points if interior else 0) for c in Channel}
         self.max_interp_error = scale * _INTERP_SAFETY * _PIECES_PER_CHANNEL * max(
-            (p.panels.max_err for ps in pieces.values() for p in ps), default=0.0)
+            (p.max_err for p in caches + list(interior.values())), default=0.0)
         self.osc_hint = max(
-            (abs(p.x0) for ps in pieces.values() for p in ps), default=0.0)
+            (abs(rule.center) for rule in sides if rule is not None),
+            default=0.0)
 
     @property
     def e_cut(self) -> float:
@@ -428,30 +423,24 @@ class EnergyAmplitude:
         """Amplitudes over the spectral prefactor at wave numbers k.
 
         sol holds the matching data at k (or at k clipped to the cache
-        range); the exterior pieces take their coefficients from it.  Each
-        region's plane-wave values are formed once for all channels.
+        range); the exterior weights come from it.  Each side's G(-k) and
+        G(k) are formed once for all channels.
         """
         kc = np.clip(k, self.k_min, self.k_max)
-        t, r_l, r_r = sol.t, sol.r_l, sol.r_r
-        if self.sign is SignLabel.PLUS:
-            t, r_l, r_r = np.conj(t), np.conj(r_l), np.conj(r_r)
-        waves = {}
-        out = {}
-        for channel in channels:
-            coeff = {"one": 1.0, "trans": t,
-                     "refl": r_l if channel is Channel.LEFT else r_r}
-            total = np.zeros(k.shape, dtype=complex)
-            for kind, s, panels, x0 in self._pieces[channel]:
-                if not s:
-                    total += panels(kc)
-                    continue
-                key = (id(panels), s)
-                if key not in waves:
-                    waves[key] = panels(s * kc) * _cis(s * x0 * kc)
-                total += coeff[kind] * waves[key]
-            total *= self.scale
-            total[k > self.k_max] = 0.0
-            out[channel] = total
+        out = {c: np.zeros(k.shape, dtype=complex) for c in channels}
+        for rule, weights in zip(self._sides, _exterior_weights(sol, self.sign)):
+            if rule is None:
+                continue
+            g_minus = rule.fourier(-kc) * _cis(-rule.center * kc)
+            g_plus = rule.fourier(kc) * _cis(rule.center * kc)
+            for c in channels:
+                w_a, w_b = weights[c]
+                out[c] += np.conj(w_a) * g_minus + np.conj(w_b) * g_plus
+        for c in channels:
+            if self._interior:
+                out[c] += self._interior[c](kc)
+            out[c] *= self.scale
+            out[c][k > self.k_max] = 0.0
         return out
 
     def _at(self, sol, channels=(Channel.LEFT, Channel.RIGHT)) -> dict:
@@ -461,23 +450,16 @@ class EnergyAmplitude:
         pref = energy_prefactor(self.model, np.clip(k, self.k_min, None))
         return {c: v * pref for c, v in self._reduced(k, sol, channels).items()}
 
-    def reduced(self, k, channel: Channel):
-        """Amplitude divided by the spectral prefactor, as a function of k."""
-        k_arr = np.atleast_1d(np.asarray(k, dtype=float))
-        kc = np.clip(k_arr, self.k_min, self.k_max)
-        sol = _solve(self.model, (self.hbar * kc) ** 2 / (2.0 * self.mass))
-        total = self._reduced(k_arr, sol, (channel,))[channel]
-        if np.ndim(k) == 0:
-            return complex(total[0])
-        return total
-
     def amplitude(self, energy, channel: Channel):
         e_arr = np.atleast_1d(np.asarray(energy, dtype=float))
         if np.any(e_arr <= 0.0):
             raise DomainError("amplitudes live on the open spectrum E > 0")
         k = self.hbar ** -1 * np.sqrt(2.0 * self.mass * e_arr)
-        vals = self.reduced(k, channel)
-        vals = np.atleast_1d(vals) * energy_prefactor(
+        # The matching is solved inside the cache range, where it is finite
+        # for every energy the spectrum admits.
+        kc = np.clip(k, self.k_min, self.k_max)
+        sol = _solve(self.model, (self.hbar * kc) ** 2 / (2.0 * self.mass))
+        vals = self._reduced(k, sol, (channel,))[channel] * energy_prefactor(
             self.model, np.clip(k, self.k_min, None))
         vals[k > self.k_max] = 0.0
         if np.ndim(energy) == 0:
@@ -486,27 +468,33 @@ class EnergyAmplitude:
 
 
 class MomentumAmplitude:
-    """Plane-wave amplitude of a test function: p maps to <p|f>."""
+    """Plane-wave amplitude of a test function: p maps to <p|f>.
 
-    __slots__ = ("model", "hbar", "p_max", "demod", "panels", "scale",
+    <p|f> = factor * exp(-i p x0 / hbar) * F(-p / hbar), with F the
+    Fourier cache of the whole support, x0 = demod its middle, and factor
+    the plane-wave norm times the amplitude scale.
+    """
+
+    __slots__ = ("model", "hbar", "p_max", "demod", "fourier", "factor",
                  "max_interp_error", "cache_points", "osc_hint")
 
-    def __init__(self, model, spec: QuadratureSpec, demod, panels: _Panels,
+    def __init__(self, model, spec: QuadratureSpec, demod, fourier: _Panels,
                  scale=1.0):
         self.model = model
         self.hbar = model.hbar
         self.p_max = model.hbar * spec.k_max
         self.demod = demod
-        self.panels = panels
-        self.scale = scale
-        self.cache_points = panels.points
-        self.max_interp_error = scale * _INTERP_SAFETY * panels.max_err
+        self.fourier = fourier
+        norm = 1.0 / math.sqrt(2.0 * math.pi * model.hbar)
+        self.factor = scale * norm
+        self.cache_points = fourier.points
+        self.max_interp_error = scale * _INTERP_SAFETY * (norm * fourier.max_err)
         self.osc_hint = abs(demod) / model.hbar
 
     def amplitude(self, p):
         p_arr = np.atleast_1d(np.asarray(p, dtype=float))
         pc = np.clip(p_arr, -self.p_max, self.p_max)
-        vals = self.scale * self.panels(pc) * _cis(
+        vals = self.factor * self.fourier(-pc / self.hbar) * _cis(
             -self.demod * pc / self.hbar)
         vals[np.abs(p_arr) > self.p_max] = 0.0
         if np.ndim(p) == 0:
@@ -575,25 +563,21 @@ def energy_transform(f: TestFunction, sign: SignLabel,
     k_lo = _K_EPS_FRACTION * spec.k_max
     # The plus analysis integrates against conj(plus wave) = minus wave.
     family = SignLabel.MINUS if sign is SignLabel.PLUS else SignLabel.PLUS
-    pieces = {}
-    for channel in (Channel.LEFT, Channel.RIGHT):
-        plist = []
-        for region, s, kind in (_channel_pieces(model, channel, lo, hi, sign)
-                                if hi > lo else []):
-            if s:
-                rule = _region_fourier(f, fs, region, spec)
-                plist.append(_Piece(kind, s, rule.fourier, rule.center))
-                continue
-            rule = _region_rule(f, fs, region, spec)
-            panels = _chebyshev_panels(
-                lambda k, rule=rule, channel=channel: _interior_direct(
+    # An empty support leaves every region empty.
+    sides = tuple(_region_fourier(f, fs, region, spec)
+                  if region[1] > region[0] else None
+                  for region in ((lo, min(model.a, hi)), (max(model.b, lo), hi)))
+    interior = {}
+    mid = (max(model.a, lo), min(model.b, hi))
+    if mid[1] > mid[0]:
+        rule = _region_rule(f, fs, mid, spec)
+        for channel in (Channel.LEFT, Channel.RIGHT):
+            interior[channel] = _chebyshev_panels(
+                lambda k, channel=channel: _interior_direct(
                     model, rule, channel, family, k),
-                k_lo, spec.k_max,
-                _seed_panels(spec.k_max - k_lo, region[1] - region[0]),
+                k_lo, spec.k_max, _seed_panels(spec.k_max - k_lo, mid[1] - mid[0]),
                 _piece_tol(spec), spec.max_subdivisions)
-            plist.append(_Piece(kind, 0, panels, 0.0))
-        pieces[channel] = plist
-    amp = EnergyAmplitude(model, sign, spec, pieces, scale)
+    amp = EnergyAmplitude(model, sign, spec, sides, interior, scale)
     _certify_cutoff(amp, _energy_tail(amp), f, spec, "k_max")
     memo[key] = amp
     return amp
@@ -603,28 +587,20 @@ def _synthesis_kernel(amp: EnergyAmplitude, sol, x: np.ndarray,
                       channels=(Channel.LEFT, Channel.RIGHT)) -> np.ndarray:
     """Sum over channels of amp_c(E) u_c(x; E), on (energies of sol) x (x).
 
-    Outside the barrier the sum is alpha(k) exp(ikx) + beta(k) exp(-ikx),
-    formed from one table of exp(ikx); inside it, _wave_grid's rows.
+    Outside the barrier the sum contracts the amplitudes with the exterior
+    weights (see module docstring), formed from one table of exp(ikx);
+    inside it, _wave_grid's rows.
     """
     model = amp.model
     left, right = x < model.a, x > model.b
     mid = ~(left | right)
     pref = energy_prefactor(model, sol.k)
-    zero = np.zeros(sol.k.size, dtype=complex)
     vals = {c: v * pref for c, v in amp._at(sol, channels).items()}
-    a_l, a_r = vals.get(Channel.LEFT, zero), vals.get(Channel.RIGHT, zero)
-    t, r_l, r_r = sol.t, sol.r_l, sol.r_r
-    minus = amp.sign is SignLabel.MINUS
-    if minus:
-        t, r_l, r_r = np.conj(t), np.conj(r_l), np.conj(r_r)
     out = np.empty((sol.k.size, x.size), dtype=complex)
-    # Plus-family weights of exp(ikx) and exp(-ikx) on each side; the minus
-    # family conjugates the matching data and swaps the two waves.
-    for cols, w_in, w_out in ((left, a_l, a_l * r_l + a_r * t),
-                              (right, a_l * t + a_r * r_r, a_r)):
+    for cols, weights in zip((left, right), _exterior_weights(sol, amp.sign)):
         if cols.any():
-            if minus:
-                w_in, w_out = w_out, w_in
+            w_in = sum(vals[c] * weights[c][0] for c in channels)
+            w_out = sum(vals[c] * weights[c][1] for c in channels)
             wave = _cis(np.outer(sol.k, x[cols]))
             out[:, cols] = w_in[:, None] * wave + w_out[:, None] * np.conj(wave)
     if mid.any():
@@ -678,10 +654,9 @@ def momentum_transform(f: TestFunction, direction: str = "analysis",
         return memo[spec]
     model = f.model
     lo, hi = _support(f, spec)
-    hbar = model.hbar
-    p_max = hbar * spec.k_max
+    p_max = model.hbar * spec.k_max
     if hi <= lo:
-        zero = _Panels(np.array([-p_max, p_max]),
+        zero = _Panels(np.array([-spec.k_max, spec.k_max]),
                        np.zeros((1, _DEGREE + 1), dtype=complex))
         amp = MomentumAmplitude(model, spec, 0.0, zero)
         memo[spec] = amp
@@ -689,14 +664,7 @@ def momentum_transform(f: TestFunction, direction: str = "analysis",
     fscale = _amplitude_scale(f, lo, hi)
     fs = f if fscale == 1.0 else f.scaled(1.0 / fscale)
     rule = _region_fourier(f, fs, (lo, hi), spec)
-    fourier = rule.fourier
-    # <p|f> = norm * exp(-i p x0 / hbar) * F(-p / hbar): F's panels reversed,
-    # with the odd Chebyshev coefficients negated.
-    norm = 1.0 / math.sqrt(2.0 * math.pi * hbar)
-    parity = norm * (-1.0) ** np.arange(_DEGREE + 1)
-    panels = _Panels(-hbar * fourier.edges[::-1], fourier.coeffs[::-1] * parity,
-                     fourier.points, norm * fourier.max_err)
-    amp = MomentumAmplitude(model, spec, rule.center, panels, fscale)
+    amp = MomentumAmplitude(model, spec, rule.center, rule.fourier, fscale)
     edge = abs(amp.amplitude(p_max)) ** 2 + abs(amp.amplitude(-p_max)) ** 2
     _certify_cutoff(amp, _tail_mass(edge, p_max), f, spec, "p_max")
     memo[spec] = amp
@@ -855,20 +823,18 @@ def spectral_probability(f: TestFunction, e_lo: float, e_hi: float,
     amp = energy_transform(f, sign, spec)
     model = f.model
     hi_eff = min(e_hi, amp.e_cut)
-    per_channel = {}
-    for channel in (Channel.LEFT, Channel.RIGHT):
 
-        def integrand(e, channel=channel):
-            vals = amp._at(_solve(model, e), (channel,))[channel]
-            return np.abs(vals) ** 2 + 0j
+    def integrand(e):
+        # One column per channel, both read from one matching solve.
+        vals = amp._at(_solve(model, e)).values()
+        return np.stack([np.abs(v) ** 2 for v in vals], axis=1) + 0j
 
-        if hi_eff > e_lo:
-            res = integrate_energy(integrand, spec, hbar=model.hbar,
-                                   mass=model.mass, e_lo=e_lo, e_hi=hi_eff,
-                                   freq_hint=2.0 * amp.osc_hint)
-            per_channel[channel] = res.value.real
-        else:
-            per_channel[channel] = 0.0
+    values = np.zeros(len(Channel))
+    if hi_eff > e_lo:
+        values = integrate_energy_batch(
+            integrand, spec, hbar=model.hbar, mass=model.mass, e_lo=e_lo,
+            e_hi=hi_eff, freq_hint=2.0 * amp.osc_hint)[0].real
+    per_channel = dict(zip(Channel, values.tolist()))
     prob = sum(per_channel.values())
     tail = _energy_tail(amp) if e_hi > amp.e_cut else 0.0
     if details:

@@ -49,6 +49,22 @@ def _probes(f):
     return probes, evaluate(f, probes)
 
 
+def test_amplitude_at_extreme_energies():
+    # Below the cache range the matching is solved at the lowest cached
+    # wave number k_min; far above the cutoff, and at inf, the amplitude is
+    # exactly zero.  The suite turns any RuntimeWarning on the way into an
+    # error.
+    f = build_test_function(MODEL, GaussianPacket(-20.0, 1.0, 3.0))
+    amp = energy_transform(f, SignLabel.PLUS, SPEC)
+    e_min = (MODEL.hbar * amp.k_min) ** 2 / (2.0 * MODEL.mass)
+    for channel in Channel:
+        low = amp.amplitude(1e-30, channel)
+        assert low != 0.0
+        assert low == pytest.approx(amp.amplitude(e_min, channel), rel=1e-12)
+        assert amp.amplitude(1e300, channel) == 0j
+        assert amp.amplitude(math.inf, channel) == 0j
+
+
 def test_battery_packet_at_tight_tolerance():
     tight = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)
     f = _unit(GaussianPacket(center=-20.0, width=1.0, momentum=3.0), tight)
@@ -158,47 +174,47 @@ def _dense_integral(g, lo, hi):
     GaussianPacket(center=-2.8, width=1.0),
 ])
 def test_spatial_rule_matches_adaptive_quadrature(packet):
-    # The pieces are evaluated directly, so that the cutoff test, which
-    # refuses the last two packets, does not skip the comparison.  An
-    # exterior piece is its matching coefficient times the region's F at
-    # the piece's signed wave numbers.
+    # The rules are read directly, so that the cutoff test, which refuses
+    # the last two packets, does not skip the comparison.  Each exterior
+    # side's G(s k) = F(s k) exp(i s k x0), s = +-1, is held against the
+    # reference integral of f exp(i s k x) over the side, and each interior
+    # piece against the reference integral of f against its eigenfunction.
     f = build_test_function(MODEL, packet)
     lo, hi, fs = _scaled_copy(f)
     ispec = tr._inner_spec(SPEC)
     energies = (MODEL.hbar * PROBE_K) ** 2 / (2.0 * MODEL.mass)
     sol = _solve(MODEL, energies)
-    kinds = set()
-    for sign in (SignLabel.PLUS, SignLabel.MINUS):
-        family = SignLabel.MINUS if sign is SignLabel.PLUS else SignLabel.PLUS
-        for channel in (Channel.LEFT, Channel.RIGHT):
-            for region, s, kind in tr._channel_pieces(MODEL, channel, lo, hi,
-                                                      sign):
-                rule = tr._region_rule(f, fs, region, SPEC)
-                if s == 0:
-                    got = tr._interior_direct(MODEL, rule, channel, family,
-                                              PROBE_K)
-
-                    def kernel(x):
-                        return _wave_grid(MODEL, sol, channel, family, x,
-                                          include_prefactor=False).T
-                    coeff = 1.0
-                else:
-                    def kernel(x, s=s, x0=0.5 * (region[0] + region[1])):
-                        return np.exp(1j * s * np.outer(x - x0, PROBE_K))
-                    coeff = {"one": 1.0, "trans": sol.t,
-                             "refl": sol.r_l if channel is Channel.LEFT
-                             else sol.r_r}[kind]
-                    if sign is SignLabel.PLUS:
-                        coeff = np.conj(coeff)
-                    got = coeff * tr._fourier_direct(rule, s * PROBE_K)
+    sides = 0
+    for region in ((lo, min(MODEL.a, hi)), (max(MODEL.b, lo), hi)):
+        if not region[1] > region[0]:
+            continue
+        sides += 1
+        rule = tr._region_rule(f, fs, region, SPEC)
+        for s in (-1, 1):
+            # Both sides demodulate by the same x0, so the phase factor,
+            # exact on neither, does not enter the comparison.
+            phase = np.exp(1j * s * PROBE_K * rule.center)
+            got = tr._fourier_direct(rule, s * PROBE_K) * phase
+            ref = phase * _dense_integral(
+                lambda x: evaluate(fs, x)[:, None] * np.exp(
+                    1j * s * np.outer(x - rule.center, PROBE_K)),
+                region[0], region[1])
+            assert np.max(np.abs(got - ref)) <= ispec.abs_tol
+    assert sides >= 1
+    mid = (max(MODEL.a, lo), min(MODEL.b, hi))
+    interiors = 0
+    if mid[1] > mid[0]:
+        rule = tr._region_rule(f, fs, mid, SPEC)
+        for family in SignLabel:
+            for channel in Channel:
+                got = tr._interior_direct(MODEL, rule, channel, family, PROBE_K)
                 ref = _dense_integral(
-                    lambda x: evaluate(fs, x)[:, None] * kernel(x),
-                    region[0], region[1])
-                assert np.max(np.abs(got - coeff * ref)) <= ispec.abs_tol
-                kinds.add(kind)
-    assert kinds >= {"one", "refl", "trans"}
-    if lo < MODEL.a < hi:
-        assert "interior" in kinds
+                    lambda x: evaluate(fs, x)[:, None] * _wave_grid(
+                        MODEL, sol, channel, family, x,
+                        include_prefactor=False).T, mid[0], mid[1])
+                assert np.max(np.abs(got - ref)) <= ispec.abs_tol
+                interiors += 1
+    assert interiors == (4 if lo < MODEL.a < hi else 0)
     rule = tr._region_rule(f, fs, (lo, hi), SPEC)
     demod = 0.5 * (lo + hi)
     momenta = MODEL.hbar * np.concatenate([-PROBE_K[::-1], PROBE_K])
@@ -290,6 +306,26 @@ def test_region_cache_matches_dense_reference(packet):
             lambda x: evaluate(fs, x)[:, None] * np.exp(
                 1j * np.outer(x - x0, kappa)), region[0], region[1])
         assert np.max(np.abs(rule.fourier(kappa) - ref)) <= tr._piece_tol(SPEC)
+
+
+@pytest.mark.parametrize("sign", list(SignLabel))
+def test_exterior_weights_reproduce_wave_rows(sign):
+    # At the probe wave numbers, and at and around the barrier top.
+    energies = np.concatenate([(MODEL.hbar * PROBE_K) ** 2 / (2.0 * MODEL.mass),
+                               MODEL.v0 + np.array([-1e-13, 0.0, 1e-13])])
+    sol = _solve(MODEL, energies)
+    x = np.concatenate([np.linspace(MODEL.a - 25.0, MODEL.a - 1e-3, 23),
+                        np.linspace(MODEL.b + 1e-3, MODEL.b + 25.0, 23)])
+    sides = (x < MODEL.a, x > MODEL.b)
+    wave = np.exp(1j * np.outer(sol.k, x))
+    for channel in Channel:
+        rows = _wave_grid(MODEL, sol, channel, sign, x, include_prefactor=False)
+        scale = np.max(np.abs(rows), axis=1, keepdims=True)
+        for cols, weights in zip(sides, tr._exterior_weights(sol, sign)):
+            w_a, w_b = (np.broadcast_to(w, sol.k.shape)[:, None]
+                        for w in weights[channel])
+            got = w_a * wave[:, cols] + w_b * np.conj(wave[:, cols])
+            assert np.all(np.abs(got - rows[:, cols]) <= 1e-14 * scale)
 
 
 @pytest.mark.parametrize("sign", list(SignLabel))

@@ -164,6 +164,16 @@ def test_probe_rejects_bad_window(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("transform", "--kmax", "inf"),
+    ("probe", "--tol", "nan"),
+])
+def test_non_finite_spec_flags_are_usage_errors(capsys, argv):
+    code, _, err = _run(capsys, *argv)
+    assert code == 2
+    assert "must be finite" in err
+
+
 def test_verify_subset_passes(capsys):
     code, out, _ = _run(capsys, "verify", "--checks",
                         "commutators,non_member_flagged")

@@ -154,6 +154,20 @@ def test_spec_validation():
         QuadratureSpec(max_subdivisions=2)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("field", ["abs_tol", "rel_tol", "spatial_radius",
+                                   "k_max", "max_subdivisions"])
+def test_spec_refuses_non_finite_fields(field, value):
+    # Every comparison with nan is false and inf passes the positivity
+    # tests, so these would otherwise slip through validation.
+    with pytest.raises(DomainError, match=field):
+        QuadratureSpec(**{field: value})
+
+
+def test_spec_accepts_any_int_budget():
+    assert QuadratureSpec(max_subdivisions=10 ** 400).max_subdivisions == 10 ** 400
+
+
 def test_spec_serialization_round_trip():
     spec = QuadratureSpec(abs_tol=1e-8, k_max=20.0)
     assert QuadratureSpec.from_dict(spec.to_dict()) == spec

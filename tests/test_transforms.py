@@ -19,6 +19,7 @@ from barrierkets import (
     evaluate,
     expectation_uncertainty,
     inner_product,
+    integrate_energy,
     momentum_transform,
     parseval_defect,
     scattering_wave,
@@ -27,6 +28,7 @@ from barrierkets import (
     synthesize_energy,
     synthesize_momentum,
 )
+from barrierkets import transforms
 from oracles import quad_complex
 
 MODEL = BarrierModel()
@@ -206,6 +208,34 @@ def test_probability_additivity_and_details(f):
     assert info["tail_estimate"] < 1e-12
     assert info["per_channel"]["left"] + info["per_channel"]["right"] == \
         pytest.approx(total, rel=1e-12)
+
+
+def test_probability_per_channel_matches_channel_integrals(f):
+    fn = f.scaled(1.0 / math.sqrt(inner_product(f, f, SPEC).real))
+    _, info = spectral_probability(fn, 1.0, 12.0, SignLabel.PLUS, SPEC,
+                                   details=True)
+    unit = energy_transform(fn, SignLabel.PLUS, SPEC)
+    for channel in Channel:
+        ref = integrate_energy(
+            lambda e: np.abs(unit.amplitude(e, channel)) ** 2 + 0j, SPEC,
+            hbar=MODEL.hbar, mass=MODEL.mass, e_lo=1.0, e_hi=12.0,
+            freq_hint=2.0 * unit.osc_hint).value.real
+        assert info["per_channel"][channel.value] == pytest.approx(
+            ref, abs=1e-12)
+
+
+def test_probability_of_window_past_cutoff_is_zero(f, monkeypatch):
+    fn = f.scaled(1.0 / math.sqrt(inner_product(f, f, SPEC).real))
+    e_cut = energy_transform(fn, SignLabel.PLUS, SPEC).e_cut
+
+    def no_integral(*args, **kwargs):
+        raise AssertionError("an empty window needs no integral")
+
+    monkeypatch.setattr(transforms, "integrate_energy_batch", no_integral)
+    prob, info = spectral_probability(fn, 2.0 * e_cut, 3.0 * e_cut,
+                                      SignLabel.PLUS, SPEC, details=True)
+    assert prob == 0.0
+    assert info["per_channel"] == {"left": 0.0, "right": 0.0}
 
 
 def test_probability_sign_families_agree(f):
