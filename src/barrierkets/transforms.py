@@ -475,8 +475,8 @@ class MomentumAmplitude:
     the plane-wave norm times the amplitude scale.
     """
 
-    __slots__ = ("model", "hbar", "p_max", "demod", "fourier", "factor",
-                 "max_interp_error", "cache_points", "osc_hint")
+    __slots__ = ("model", "hbar", "p_max", "demod", "max_interp_error",
+                 "cache_points", "osc_hint", "_fourier", "_factor")
 
     def __init__(self, model, spec: QuadratureSpec, demod, fourier: _Panels,
                  scale=1.0):
@@ -484,9 +484,9 @@ class MomentumAmplitude:
         self.hbar = model.hbar
         self.p_max = model.hbar * spec.k_max
         self.demod = demod
-        self.fourier = fourier
+        self._fourier = fourier
         norm = 1.0 / math.sqrt(2.0 * math.pi * model.hbar)
-        self.factor = scale * norm
+        self._factor = scale * norm
         self.cache_points = fourier.points
         self.max_interp_error = scale * _INTERP_SAFETY * (norm * fourier.max_err)
         self.osc_hint = abs(demod) / model.hbar
@@ -494,7 +494,7 @@ class MomentumAmplitude:
     def amplitude(self, p):
         p_arr = np.atleast_1d(np.asarray(p, dtype=float))
         pc = np.clip(p_arr, -self.p_max, self.p_max)
-        vals = self.factor * self.fourier(-pc / self.hbar) * _cis(
+        vals = self._factor * self._fourier(-pc / self.hbar) * _cis(
             -self.demod * pc / self.hbar)
         vals[np.abs(p_arr) > self.p_max] = 0.0
         if np.ndim(p) == 0:

@@ -191,8 +191,8 @@ def test_spatial_rule_matches_adaptive_quadrature(packet):
         sides += 1
         rule = tr._region_rule(f, fs, region, SPEC)
         for s in (-1, 1):
-            # Both sides demodulate by the same x0, so the phase factor,
-            # exact on neither, does not enter the comparison.
+            # got and ref carry the same rounded phase factor, so its
+            # rounding does not enter the comparison.
             phase = np.exp(1j * s * PROBE_K * rule.center)
             got = tr._fourier_direct(rule, s * PROBE_K) * phase
             ref = phase * _dense_integral(
