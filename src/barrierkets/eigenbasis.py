@@ -6,7 +6,11 @@ plus family carries incoming asymptotics, the minus family is its pointwise
 complex conjugate.  Both are delta-normalized in energy through the
 prefactor sqrt(m / (2 pi k hbar^2)).  Momentum eigenfunctions are the plane
 waves e^{ipx/hbar} / sqrt(2 pi hbar).  Every plane wave in the package is
-formed by _cis, one cos and one sin per phase.  The position
+formed by _cis, one cos and one sin per phase.  Sums of plane waves over
+the nodes of composite Gauss-Legendre panels (the Fourier caches of the
+transforms and both syntheses) go through _panel_waves, which forms the
+waves of one panel from its middle's wave and one table per panel width
+instead of one cos and one sin per (node, frequency).  The position
 eigenfunctions are delta distributions; they have no pointwise values and
 act only inside integrals, so no evaluator for them exists here.
 
@@ -48,6 +52,44 @@ def _cis(phase: np.ndarray) -> np.ndarray:
     out = np.empty(phase.shape, dtype=complex)
     np.cos(phase, out=out.real)
     np.sin(phase, out=out.imag)
+    return out
+
+
+def _panel_waves(coef: np.ndarray, mid: np.ndarray, half: np.ndarray,
+                 offsets: np.ndarray, freqs: np.ndarray,
+                 origin: float = 0.0) -> np.ndarray:
+    """Sum over t of coef[..., p, t] exp(i freq (x[..., p, t] - origin)).
+
+    x = mid_p + half_p * offsets[..., t] are the nodes of panel p as float64
+    forms them.  Each wave factors as exp(i freq (mid_p - origin)) times
+    exp(i freq half_p offset_t): the second factor is one (offsets x
+    frequencies) table per distinct half-width, shared by every panel of
+    that width, and the sum over t is a matrix product with it.  What the
+    roundings of x and of mid_p - origin leave between the two (found
+    exactly by Knuth's two-sum, a few ulps of x) enters to first order,
+    exp(i freq d) = 1 + i freq d, as a second product with the same table.
+    coef is (..., P, T), offsets (T,) or broadcastable against coef's
+    leading axes as (..., T); returns (..., P, K) for K frequencies.
+    """
+    def rest(a, b, total):
+        # (a + b) - total exactly, total the rounded sum (two-sum).
+        b_part = total - a
+        return (a - (total - b_part)) + (b - b_part)
+
+    step = half[:, None] * offsets[..., None, :]
+    shift = mid - origin
+    resid = rest(mid, -origin, shift)[:, None] - rest(mid[:, None], step,
+                                                     mid[:, None] + step)
+    pair = np.stack(np.broadcast_arrays(coef, coef * resid))
+    sums = np.empty(pair.shape[:-1] + (freqs.size,), dtype=complex)
+    widths, group = np.unique(half, return_inverse=True)
+    for i, h in enumerate(widths.tolist()):
+        sel = group == i
+        sums[..., sel, :] = pair[..., sel, :] @ _cis(
+            (h * offsets)[..., None] * freqs)
+    out = sums[0]
+    out += 1j * freqs * sums[1]
+    out *= _cis(np.outer(shift, freqs))
     return out
 
 

@@ -3,7 +3,13 @@
 One engine serves every integral in the package and builds the spatial
 rules of the transforms.  It keeps a worklist of panels, each carrying a
 composite 32-point Gauss-Legendre value of its own and of its two halves;
-all panels of a round are evaluated in one integrand call.  The starting
+all panels of a round are evaluated in one call of a panel evaluator, which
+receives the panels' middles and half-widths and the nodes and widths of
+their parts, and returns the parts' sums.  The integrals of this module use
+the pointwise evaluator _eval_panels, which samples an integrand at every
+node; the syntheses of the transforms pass one that contracts plane waves
+panel by panel.  Panel geometry, acceptance, refinement and the stall rule
+do not depend on the evaluator.  The starting
 panels span at most 48 rad at freq_hint, with at least four of them.  A
 panel whose halves disagree with it by more than half of an equal share of
 the target is replaced by its halves, whose values are already known, so
@@ -43,6 +49,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -63,9 +70,11 @@ __all__ = [
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(32)
 _PANEL_PHASE = 48.0
 _MIN_PANELS = 4
-# The nodes of a panel's left and right halves on the panel's [-1, 1],
-# and the width of the panel and of each half relative to the panel.
-_HALVES_X = np.concatenate([0.5 * (_GL_X - 1.0), 0.5 * (_GL_X + 1.0)])
+# The layout of a panel's parts (the panel, its left half, its right half),
+# each carrying the 32-point rule: their nodes on the panel's [-1, 1], one
+# row per part, and their widths relative to the panel.  The first round
+# evaluates every part; later rounds only the halves.
+_PARTS_X = np.stack([_GL_X, 0.5 * (_GL_X - 1.0), 0.5 * (_GL_X + 1.0)])
 _PART_WIDTH = np.array([1.0, 0.5, 0.5])
 # A refinement has stalled when the panel count has grown this many times
 # since some round without the error ratio halving.
@@ -126,28 +135,27 @@ class QuadratureResult:
     panels: int
 
 
-def _eval_panels(f, a, b, signed, whole):
-    """The 32-point rule on each panel [a, b] and on its two halves.
+def _eval_panels(f, signed, mid, half, offsets, widths):
+    """The pointwise panel evaluator: samples the integrand f at every node.
 
-    With whole unset, the halves only.  Returns (parts, ncols): parts is
-    (panels, 3 or 2, C), one row per part (the panel, its left half, its
-    right half) and one column per batch component, followed in a signed
-    run by each part's sum of |weight * integrand| per component; ncols is
-    the batch width the integrand produced (0 for a scalar integrand).
+    Panels are given by their middles and half-widths, their parts by the
+    engine's layout (see _adaptive).  Returns (sums, ncols): sums is
+    (panels, parts, C), one column per batch component, followed in a
+    signed run by each part's sum of |weight * integrand| per component;
+    ncols is the batch width the integrand produced (0 for a scalar
+    integrand).
     """
-    half = 0.5 * (b - a)
-    offsets = np.concatenate([_GL_X, _HALVES_X]) if whole else _HALVES_X
-    nodes = (0.5 * (a + b))[:, None] + half[:, None] * offsets
+    nodes = mid[:, None, None] + half[:, None, None] * offsets
     fx = np.asarray(f(nodes.ravel()))
     if fx.ndim not in (1, 2):
         raise DomainError(f"integrand must return 1-d or (n, batch) arrays, got shape {fx.shape}")
     if fx.shape[0] != nodes.size:
         raise DomainError("integrand returned a result of the wrong length")
     ncols = fx.shape[1] if fx.ndim == 2 else 0
-    fx = fx.reshape(a.size, -1, _GL_X.size, max(ncols, 1))
+    fx = fx.reshape(nodes.shape + (max(ncols, 1),))
     if signed:
         fx = np.concatenate([fx, np.abs(fx)], axis=3)
-    width = half[:, None] * _PART_WIDTH[-fx.shape[1]:]
+    width = half[:, None] * widths
     return np.tensordot(fx, _GL_W, axes=([2], [0])) * width[:, :, None], ncols
 
 
@@ -161,19 +169,23 @@ def _probe_columns(f, lo, hi):
     raise DomainError(f"integrand must return 1-d or (n, batch) arrays, got shape {probe.shape}")
 
 
-def _adaptive(f, lo, hi, abs_tol, rel_tol, max_panels, freq_hint,
+def _adaptive(panels, lo, hi, abs_tol, rel_tol, max_panels, freq_hint,
               signed=False):
     """The adaptive engine (see module docstring).
 
-    signed selects the acceptance test of a spatial rule.  Returns
-    (values (B,), errors (B,), a, b, ncols): the sums over the panels'
-    halves, their error estimates, the final panels [a, b] in ascending
-    order, and the batch width read off the first round.
+    panels is the panel evaluator: panels(mid, half, offsets, widths)
+    receives one round's panel middles and half-widths and the rows of
+    _PARTS_X and _PART_WIDTH the round needs, and returns (sums, ncols), the
+    integral of every part of every panel as (panels, parts, columns) and
+    the batch width (see _eval_panels).  signed selects the acceptance test
+    of a spatial rule.  Returns (values (B,), errors (B,), a, b, ncols): the
+    sums over the panels' halves, their error estimates, the final panels
+    [a, b] in ascending order, and the batch width read off the first round.
     """
     n0 = max(_MIN_PANELS, math.ceil((hi - lo) * freq_hint / _PANEL_PHASE))
     edges = np.linspace(lo, hi, min(n0, max_panels // 2) + 1)
     a, b = edges[:-1], edges[1:]
-    parts, ncols = _eval_panels(f, a, b, signed, whole=True)
+    parts, ncols = panels(0.5 * (a + b), 0.5 * (b - a), _PARTS_X, _PART_WIDTH)
     nb = max(ncols, 1)
     history = []
     while True:
@@ -214,7 +226,8 @@ def _adaptive(f, lo, hi, abs_tol, rel_tol, max_panels, freq_hint,
         mid = 0.5 * (a[flag] + b[flag])
         new_a = np.concatenate([a[flag], mid])
         new_b = np.concatenate([mid, b[flag]])
-        new, _ = _eval_panels(f, new_a, new_b, signed, whole=False)
+        new, _ = panels(0.5 * (new_a + new_b), 0.5 * (new_b - new_a),
+                        _PARTS_X[1:], _PART_WIDTH[1:])
         known = np.concatenate([parts[flag, 1], parts[flag, 2]])
         parts = np.concatenate([parts[~flag],
                                 np.concatenate([known[:, None], new], axis=1)])
@@ -227,7 +240,8 @@ def _run(f, lo, hi, spec, freq_hint):
         raise DomainError("integration limits must be finite")
     if hi <= lo:
         return np.zeros(1, dtype=complex), np.zeros(1), 0, 0
-    vals, errs, a, _, ncols = _adaptive(f, lo, hi, spec.abs_tol, spec.rel_tol,
+    vals, errs, a, _, ncols = _adaptive(partial(_eval_panels, f, False), lo,
+                                        hi, spec.abs_tol, spec.rel_tol,
                                         spec.max_subdivisions, freq_hint)
     return vals, errs, a.size, ncols
 

@@ -53,8 +53,16 @@ integrates f against plane-wave probes (and, inside the barrier,
 eigenfunction probes) at wave numbers across [-k_max, k_max], starting from
 panels sized for the top frequency k_max plus f's phase.  f is sampled on
 the rule once, so a cache's direct values at any array of wave numbers are
-one product of the kernel matrix with the weighted samples.  F_R is kept
-beside its rule.
+sums of the weighted samples against the kernel.  For F_R the kernel is a
+plane wave, and a node of panel p is m_p + h_p xi_t, m_p the panel middle,
+h_p its half-width and xi_t a Gauss-Legendre offset, so
+
+    F_R(kappa) = sum over p of exp(i kappa (m_p - x0))
+                 * sum over t of wf_pt exp(i kappa h_p xi_t),
+
+the inner sums one matrix product per distinct panel width (see
+eigenbasis._panel_waves); the interior pieces multiply the eigenfunction
+matrix with the samples.  F_R is kept beside its rule.
 
 An expansion truncated at k_max cannot see the part of f beyond the cutoff.
 After each build the mass of that part is bounded from the amplitudes at the
@@ -64,8 +72,13 @@ returning truncated answers.
 
 Synthesis contracts the same table the other way: outside the barrier,
 sum over c of amp_c(E) u_c(x; E) is (sum over c of amp_c A_c) exp(ikx) +
-(sum over c of amp_c B_c) exp(-ikx), so one table of exp(ikx) per integrand
-call serves both channels.
+(sum over c of amp_c B_c) exp(-ikx).  Both syntheses hand the quadrature
+engine a plane-wave panel evaluator (_synthesis_panels) instead of an
+integrand: it samples those channel-summed coefficients (or the momentum
+amplitude) at a round's nodes in k, folds in the weights and the Jacobian,
+and contracts them with the plane waves panel by panel through the same
+factorization as F_R, so no (nodes x positions) table of waves is formed.
+Positions inside [a, b] keep the pointwise eigenfunction rows.
 
 Transforms are memoized per (function, sign, tolerance spec); caches are
 write-once and all callables are pure.
@@ -76,6 +89,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import replace as drep
+from functools import partial
 
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
@@ -87,13 +101,13 @@ from .quadrature import (
     _GL_X,
     QuadratureSpec,
     _adaptive,
+    _eval_panels,
     integrate_energy,
     integrate_energy_batch,
     integrate_line,
-    integrate_line_batch,
 )
 from .scattering import Channel, SignLabel, _solve
-from .eigenbasis import _cis, _wave_grid, energy_prefactor
+from .eigenbasis import _cis, _panel_waves, _wave_grid, energy_prefactor
 from .testspace import TestFunction, _member, _product, _support, evaluate, \
     inner_product
 
@@ -142,7 +156,7 @@ _TO_CHEB = np.linalg.inv(cheb.chebvander(_LOBATTO, _DEGREE))
 # Probe wave numbers per sign at which a spatial rule is certified (see
 # _region_rule).
 _RULE_PROBES = 9
-# Kernel entries (wave numbers times nodes) formed at once.
+# Wave numbers times rule nodes evaluated at once.
 _BLOCK_ENTRIES = 1 << 18
 
 
@@ -268,15 +282,20 @@ def _exterior_weights(sol, sign: SignLabel):
 class _Rule:
     """Composite Gauss-Legendre rule on one region, with f sampled on it.
 
-    x holds the nodes and wf the weights times the scaled function there,
-    so the integral of f against any kernel over the region is
-    kernel(x) @ wf.  center is the region's middle x0; fourier holds the
-    region's F (see module docstring) once _region_fourier has built it.
+    mid and half hold the panels' middles and half-widths, x the nodes
+    mid + half * _GL_X panel by panel, and wf the weights times the scaled
+    function there, one row per panel, so the integral of f against any
+    kernel over the region is kernel(x) @ wf.ravel().  center is the
+    region's middle x0; fourier holds the region's F (see module docstring)
+    once _region_fourier has built it.
     """
 
-    __slots__ = ("x", "wf", "center", "fourier")
+    __slots__ = ("mid", "half", "x", "wf", "center", "fourier")
 
-    def __init__(self, x: np.ndarray, wf: np.ndarray, center: float):
+    def __init__(self, mid: np.ndarray, half: np.ndarray, x: np.ndarray,
+                 wf: np.ndarray, center: float):
+        self.mid = mid
+        self.half = half
         self.x = x
         self.wf = wf
         self.center = center
@@ -326,29 +345,36 @@ def _build_rule(fs: TestFunction, region, spec: QuadratureSpec) -> _Rule:
                      for c in Channel for s in SignLabel]
         return evaluate(fs, x)[:, None] * np.concatenate(cols, axis=1)
 
-    _, _, a, b, _ = _adaptive(probes, lo, hi, ispec.abs_tol, ispec.rel_tol,
+    _, _, a, b, _ = _adaptive(partial(_eval_panels, probes, True), lo, hi,
+                              ispec.abs_tol, ispec.rel_tol,
                               spec.max_subdivisions,
                               spec.k_max + fs.max_phase(), signed=True)
-    half = 0.5 * (b - a)
-    x = (0.5 * (a + b))[:, None] + half[:, None] * _GL_X
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    x = mid[:, None] + half[:, None] * _GL_X
     wf = (half[:, None] * _GL_W) * evaluate(fs, x.ravel()).reshape(x.shape)
-    return _Rule(x.ravel(), wf.ravel(), center)
+    return _Rule(mid, half, x.ravel(), wf, center)
 
 
-def _apply_rule(rule: _Rule, k_arr: np.ndarray, kernel) -> np.ndarray:
-    """kernel(k) @ rule.wf over blocks of k_arr; kernel gives (k, nodes)."""
+def _apply_rule(rule: _Rule, k_arr: np.ndarray, values) -> np.ndarray:
+    """values(k) over blocks of k_arr, each at most _BLOCK_ENTRIES wave
+    numbers times the rule's nodes."""
     out = np.empty(k_arr.size, dtype=complex)
     step = max(1, _BLOCK_ENTRIES // rule.x.size)
     for start in range(0, k_arr.size, step):
         chunk = k_arr[start:start + step]
-        out[start:start + chunk.size] = kernel(chunk) @ rule.wf
+        out[start:start + chunk.size] = values(chunk)
     return out
 
 
 def _fourier_direct(rule: _Rule, kappa: np.ndarray) -> np.ndarray:
-    """F of the rule's region at the given signed wave numbers."""
-    shift = rule.x - rule.center
-    return _apply_rule(rule, kappa, lambda k: _cis(np.outer(k, shift)))
+    """F of the rule's region at the given signed wave numbers.
+
+    F(kappa) is the sum over panels p of exp(i kappa (m_p - x0)) times the
+    panel's weighted samples against exp(i kappa h_p xi), xi the
+    Gauss-Legendre offsets: see _panel_waves.
+    """
+    return _apply_rule(rule, kappa, lambda k: _panel_waves(
+        rule.wf, rule.mid, rule.half, _GL_X, k, rule.center).sum(axis=0))
 
 
 def _interior_direct(model: BarrierModel, rule: _Rule, channel: Channel,
@@ -356,7 +382,7 @@ def _interior_direct(model: BarrierModel, rule: _Rule, channel: Channel,
     """Integrals of f against the family's eigenfunction over the rule."""
     return _apply_rule(rule, k_arr, lambda k: _wave_grid(
         model, _solve(model, (model.hbar * k) ** 2 / (2.0 * model.mass)),
-        channel, family, rule.x, include_prefactor=False))
+        channel, family, rule.x, include_prefactor=False) @ rule.wf.ravel())
 
 
 def _region_fourier(f: TestFunction, fs: TestFunction, region,
@@ -493,6 +519,8 @@ class MomentumAmplitude:
 
     def amplitude(self, p):
         p_arr = np.atleast_1d(np.asarray(p, dtype=float))
+        if np.isnan(p_arr).any():
+            raise DomainError("momentum amplitudes need numeric momenta, got nan")
         pc = np.clip(p_arr, -self.p_max, self.p_max)
         vals = self._factor * self._fourier(-pc / self.hbar) * _cis(
             -self.demod * pc / self.hbar)
@@ -583,32 +611,37 @@ def energy_transform(f: TestFunction, sign: SignLabel,
     return amp
 
 
-def _synthesis_kernel(amp: EnergyAmplitude, sol, x: np.ndarray,
-                      channels=(Channel.LEFT, Channel.RIGHT)) -> np.ndarray:
-    """Sum over channels of amp_c(E) u_c(x; E), on (energies of sol) x (x).
+def _synthesis_panels(sample, ncols: int):
+    """Panel evaluator (see quadrature._adaptive) of a synthesis integral.
 
-    Outside the barrier the sum contracts the amplitudes with the exterior
-    weights (see module docstring), formed from one table of exp(ikx);
-    inside it, _wave_grid's rows.
+    sample(k) describes the integrand at one round's nodes k as
+    (waves, rows).  Each wave (cols, freqs, a, b) says that the integrand's
+    columns cols are a(k) exp(i k freqs) + b(k) exp(-i k freqs), b None for
+    a single wave; its panel sums are one _panel_waves call, the conjugate
+    of exp(-i k freqs) being exp(i k freqs), so b enters conjugated and its
+    sums are conjugated back.  rows, when not None, is (cols, values) for
+    columns formed pointwise, values (nodes, columns), contracted with the
+    weights.
     """
-    model = amp.model
-    left, right = x < model.a, x > model.b
-    mid = ~(left | right)
-    pref = energy_prefactor(model, sol.k)
-    vals = {c: v * pref for c, v in amp._at(sol, channels).items()}
-    out = np.empty((sol.k.size, x.size), dtype=complex)
-    for cols, weights in zip((left, right), _exterior_weights(sol, amp.sign)):
-        if cols.any():
-            w_in = sum(vals[c] * weights[c][0] for c in channels)
-            w_out = sum(vals[c] * weights[c][1] for c in channels)
-            wave = _cis(np.outer(sol.k, x[cols]))
-            out[:, cols] = w_in[:, None] * wave + w_out[:, None] * np.conj(wave)
-    if mid.any():
-        out[:, mid] = sum(
-            vals[c][:, None] * _wave_grid(model, sol, c, amp.sign, x[mid],
-                                          include_prefactor=False)
-            for c in channels)
-    return out
+    def evaluate(mid, half, offsets, widths):
+        k = mid[:, None] + half[:, None] * offsets[:, None]   # (parts, panels, t)
+        w = (widths[:, None] * half)[:, :, None] * _GL_W
+        waves, rows = sample(k.ravel())
+        out = np.empty((mid.size, offsets.shape[0], ncols), dtype=complex)
+        for cols, freqs, a, b in waves:
+            coef = np.stack([a] if b is None else [a, np.conj(b)])
+            sums = _panel_waves(coef.reshape((-1,) + k.shape) * w, mid, half,
+                                offsets, freqs)
+            if b is not None:
+                sums[0] += np.conj(sums[1])
+            out[:, :, cols] = sums[0].transpose(1, 0, 2)
+        if rows is not None:
+            cols, values = rows
+            out[:, :, cols] = np.einsum("sptc,spt->psc",
+                                        values.reshape(k.shape + (-1,)), w)
+        return out, ncols
+
+    return evaluate
 
 
 def synthesize_energy(amp: EnergyAmplitude, x, spec: QuadratureSpec,
@@ -618,16 +651,40 @@ def synthesize_energy(amp: EnergyAmplitude, x, spec: QuadratureSpec,
     Integrates sum over channels of eigenfunction times amplitude across the
     spectrum.  x may be a scalar or an array (handled as one batched
     integral); channels can be restricted to probe degeneracy.
+
+    The integral runs in k over [0, k_max], dE = hbar^2 k / m dk.  Outside
+    the barrier the channel sum is (sum over c of amp_c A_c) exp(ikx) +
+    (sum over c of amp_c B_c) exp(-ikx), the weights (A, B) from the table
+    of the module docstring, so each side is one wave pair of
+    _synthesis_panels; inside it the sum is formed from _wave_grid's rows.
     """
     model = amp.model
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    left, right = x_arr < model.a, x_arr > model.b
+    mid = ~(left | right)
+    jac = model.hbar ** 2 / model.mass
 
-    def g(e):
-        return _synthesis_kernel(amp, _solve(model, e), x_arr, channels)
+    def sample(k):
+        sol = _solve(model, (model.hbar * k) ** 2 / (2.0 * model.mass))
+        pref = energy_prefactor(model, sol.k) * (jac * k)
+        vals = {c: v * pref for c, v in amp._at(sol, channels).items()}
+        waves = [(cols, x_arr[cols],
+                  sum(vals[c] * weights[c][0] for c in channels),
+                  sum(vals[c] * weights[c][1] for c in channels))
+                 for cols, weights in zip((left, right),
+                                          _exterior_weights(sol, amp.sign))
+                 if cols.any()]
+        rows = None
+        if mid.any():
+            rows = (mid, sum(vals[c][:, None] * _wave_grid(
+                model, sol, c, amp.sign, x_arr[mid], include_prefactor=False)
+                for c in channels))
+        return waves, rows
 
     hint = float(np.max(np.abs(x_arr))) + amp.osc_hint
-    vals, errs, _ = integrate_energy_batch(g, spec, hbar=model.hbar,
-                                           mass=model.mass, freq_hint=hint)
+    vals, _, _, _, _ = _adaptive(_synthesis_panels(sample, x_arr.size), 0.0,
+                                 spec.k_max, spec.abs_tol, spec.rel_tol,
+                                 spec.max_subdivisions, hint)
     if np.ndim(x) == 0:
         return complex(vals[0])
     return vals
@@ -677,13 +734,13 @@ def synthesize_momentum(amp: MomentumAmplitude, x, spec: QuadratureSpec):
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     scale = 1.0 / math.sqrt(2.0 * math.pi * hbar)
 
-    def g(p):
-        return np.atleast_1d(amp.amplitude(p))[:, None] * _cis(
-            np.outer(p, x_arr) / hbar) * scale
+    def sample(p):
+        return [(slice(None), x_arr / hbar, amp.amplitude(p) * scale, None)], None
 
     hint = (float(np.max(np.abs(x_arr))) + abs(amp.demod)) / hbar
-    vals, errs, _ = integrate_line_batch(g, spec, lo=-amp.p_max, hi=amp.p_max,
-                                         freq_hint=hint)
+    vals, _, _, _, _ = _adaptive(_synthesis_panels(sample, x_arr.size),
+                                 -amp.p_max, amp.p_max, spec.abs_tol,
+                                 spec.rel_tol, spec.max_subdivisions, hint)
     if np.ndim(x) == 0:
         return complex(vals[0])
     return vals

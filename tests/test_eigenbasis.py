@@ -17,6 +17,8 @@ from barrierkets import (
     momentum_transform,
     scattering_wave,
 )
+from barrierkets.eigenbasis import _cis, _panel_waves
+from barrierkets.quadrature import _GL_X, _PARTS_X
 from oracles import fd_derivative, quad_complex
 
 # sqrt(m / (2 pi k hbar^2)) at k = 1 with m = 1/2: 1 / (2 sqrt(pi))
@@ -125,3 +127,40 @@ def test_values_at_steps_are_finite():
                                np.array([m.a, m.b]))
         assert np.all(np.isfinite(vals))
 
+
+
+def _refined_panels(lo, hi):
+    """Middles and half-widths of six equal panels after two refinement
+    levels: the second split in two, and the left half split again."""
+    edges = np.linspace(lo, hi, 7)
+    quarter = edges[1] + 0.25 * (edges[2] - edges[1])
+    middle = 0.5 * (edges[1] + edges[2])
+    a = np.concatenate([edges[[0, 2, 3, 4, 5]], [middle, edges[1], quarter]])
+    b = np.concatenate([edges[[1, 3, 4, 5, 6]], [edges[2], quarter, middle]])
+    return 0.5 * (a + b), 0.5 * (b - a)
+
+
+@pytest.mark.parametrize("lo, hi, origin, offsets, top", [
+    # Synthesis panels in k, whole panels and their halves one row each,
+    # against positions.
+    (0.0, 6.0, 0.0, _PARTS_X, 25.0),
+    # A Fourier rule on a region left of the barrier, demodulated by its
+    # middle, against wave numbers up to the default k_max.  Without the
+    # two-sum correction of the nodes' rounding this case misses the bound.
+    (-23.0, -15.0, -19.0, _GL_X, 40.0),
+])
+def test_panel_waves_match_direct_contraction(lo, hi, origin, offsets, top):
+    mid, half = _refined_panels(lo, hi)
+    assert np.unique(half).size >= 3
+    freqs = np.concatenate([-np.geomspace(top, 0.01, 20), [0.0],
+                            np.geomspace(0.01, top, 20)])
+    rng = np.random.default_rng(3)
+    shape = offsets.shape[:-1] + (mid.size, offsets.shape[-1])
+    coef = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    nodes = mid[:, None] + half[:, None] * offsets[..., None, :]
+    ref = np.einsum("...pt,...ptk->...pk", coef,
+                    _cis((nodes - origin)[..., None] * freqs))
+    got = _panel_waves(coef, mid, half, offsets, freqs, origin)
+    scale = np.abs(coef).sum(axis=-1, keepdims=True)
+    assert got.shape == ref.shape
+    assert np.all(np.abs(got - ref) <= 1e-14 * scale)
