@@ -15,11 +15,14 @@ eigenfunctions are delta distributions; they have no pointwise values and
 act only inside integrals, so no evaluator for them exists here.
 
 All energy eigenfunction values come from one grid evaluator over (energies
-of one matching solution) x (positions).  Inside the barrier it takes two
-routes, each on its own rows: the cos / d*sinc propagator where
+of one matching solution) x (positions); scattering_wave is its one-energy
+view.  Inside the barrier it reads _interior_waves, which returns the values
+psi and the slopes psi' of the plus family at interior points by two routes,
+each on its own rows: the cos / d*sinc propagator where
 |kappa| * width <= SMALL_PHASE or the energy lies in the degenerate shell
 around the barrier top, and the interface-scaled exponential basis
-everywhere else.  scattering_wave is its one-energy view.
+everywhere else.  The energy analysis reads both at the middle of each
+interior sub-region, the data that fixes the eigenfunction there.
 """
 
 from __future__ import annotations
@@ -93,6 +96,48 @@ def _panel_waves(coef: np.ndarray, mid: np.ndarray, half: np.ndarray,
     return out
 
 
+def _interior_waves(model: BarrierModel, sol: ScatteringSolution,
+                    channel: Channel, x: np.ndarray):
+    """Plus-family values psi and slopes psi' of one channel at points x
+    inside [a, b], each on a (energies of sol) x (positions) grid, without
+    the prefactor; see the module docstring for the two routes."""
+    k = sol.k
+    kappa = sol.kappa[:, None]
+    psi = np.empty((k.size, x.size), dtype=complex)
+    dpsi = np.empty_like(psi)
+    prop = sol.degenerate | (np.abs(sol.kappa) * model.width <= SMALL_PHASE)
+    expo = ~prop
+    if expo.any():
+        alpha, beta = sol.sc_l if channel is Channel.LEFT else sol.sc_r
+        kx = kappa[expo]
+        up = alpha[expo, None] * np.exp(1j * kx * (x - model.a))
+        down = beta[expo, None] * np.exp(-1j * kx * (x - model.b))
+        psi[expo] = up + down
+        dpsi[expo] = 1j * kx * (up - down)
+    if prop.any():
+        # Thin or threshold barrier: propagate boundary data with functions
+        # of kappa^2 alone, exact down to kappa = 0.
+        ik = 1j * k[prop, None]
+        if channel is Channel.LEFT:
+            x0 = model.a
+            r = sol.r_l[prop, None]
+            e_p = np.exp(ik * x0)
+            psi0 = e_p + r / e_p
+            dpsi0 = ik * (e_p - r / e_p)
+        else:
+            x0 = model.b
+            r = sol.r_r[prop, None]
+            e_m = np.exp(-ik * x0)
+            psi0 = e_m + r / e_m
+            dpsi0 = -ik * e_m + ik * r / e_m
+        dx = x - x0
+        z = kappa[prop] * dx
+        cos, sinc = np.cos(z), _sinc(z)
+        psi[prop] = psi0 * cos + dpsi0 * dx * sinc
+        dpsi[prop] = dpsi0 * cos - sol.kappa_sq[prop, None] * psi0 * dx * sinc
+    return psi, dpsi
+
+
 def _wave_grid(model: BarrierModel, sol: ScatteringSolution, channel: Channel,
                sign: SignLabel, x: np.ndarray,
                include_prefactor: bool = True) -> np.ndarray:
@@ -115,35 +160,7 @@ def _wave_grid(model: BarrierModel, sol: ScatteringSolution, channel: Channel,
     else:
         rows[:, right] = np.conj(wave_r) + sol.r_r[:, None] * wave_r
         rows[:, left] = sol.t[:, None] * np.conj(wave_l)
-    xm = x[mid]
-    kappa = sol.kappa[:, None]
-    prop = sol.degenerate | (np.abs(sol.kappa) * model.width <= SMALL_PHASE)
-    expo = ~prop
-    if expo.any():
-        alpha, beta = sol.sc_l if channel is Channel.LEFT else sol.sc_r
-        kx = kappa[expo]
-        rows[np.ix_(expo, mid)] = (
-            alpha[expo, None] * np.exp(1j * kx * (xm - model.a))
-            + beta[expo, None] * np.exp(-1j * kx * (xm - model.b)))
-    if prop.any():
-        # Thin or threshold barrier: propagate boundary data with functions
-        # of kappa^2 alone, exact down to kappa = 0.
-        ik = 1j * k[prop, None]
-        if channel is Channel.LEFT:
-            x0 = model.a
-            r = sol.r_l[prop, None]
-            e_p = np.exp(ik * x0)
-            psi0 = e_p + r / e_p
-            dpsi0 = ik * (e_p - r / e_p)
-        else:
-            x0 = model.b
-            r = sol.r_r[prop, None]
-            e_m = np.exp(-ik * x0)
-            psi0 = e_m + r / e_m
-            dpsi0 = -ik * e_m + ik * r / e_m
-        dx = xm - x0
-        z = kappa[prop] * dx
-        rows[np.ix_(prop, mid)] = psi0 * np.cos(z) + dpsi0 * dx * _sinc(z)
+    rows[:, mid] = _interior_waves(model, sol, channel, x[mid])[0]
     if sign is SignLabel.MINUS:
         rows = np.conj(rows)
     if include_prefactor:

@@ -41,19 +41,52 @@ against exp(i kappa x) over R, the exterior part of an amplitude is
 with (A, B) read from the table at the matching solution at k; the caller
 passes the matching solution it already holds, so one solve serves every
 amplitude an integrand reads.  The momentum amplitude reads F over the whole
-support at kappa = -p/hbar.  The barrier interior, when it meets the
-support, is one more piece per (channel, sign), integrated against the
-eigenfunction itself and interpolated on its own panels; it is short, so it
-is slow in k.
+support at kappa = -p/hbar.
+
+Inside the barrier, about any point x0 of [a, b], the plus-family
+eigenfunction of channel c is
+
+    psi_c(x0) cos(kappa (x - x0)) + psi_c'(x0) (x - x0) sinc(kappa (x - x0)),
+
+kappa^2 = k^2 - k0^2 with k0 = sqrt(2 m v0) / hbar, and the minus family
+conjugates psi and psi' only: both kernels are real for real kappa^2.  The
+support's part inside [a, b] is cut into sub-regions, and on each, x0 its
+middle, one pair of functions of k serves both channels and both families:
+
+    C(k) = integral of cos(kappa (x - x0)) f(x) dx,
+    S(k) = integral of (x - x0) sinc(kappa (x - x0)) f(x) dx.
+
+Both are entire in kappa^2, so smooth across the barrier top and its
+degenerate shell, and each is interpolated once per sub-region on
+Chebyshev panels over [k_min, k_max].  The interior part of an amplitude is
+the sum over sub-regions of conj(psi) C + conj(psi') S for the plus
+analysis and psi C + psi' S for the minus analysis, with (psi, psi') at x0
+read exactly from the matching solution (eigenbasis._interior_waves), as
+the exterior reads (A, B).  Below the barrier top cos(kappa (x - x0)) grows
+like exp(k0 L / 2) across a sub-region of length L, and C and S lose that
+factor to cancellation, so the sub-regions are cut with k0 L / 2 at most
+_INTERIOR_GROWTH.
+
+C and S are certified against the factors they are read with.  For unit
+incidence in either channel, flux conservation (|r|^2 + |t|^2 = 1) gives
+|psi| <= 2 and k^2 |psi|^2 + |psi'|^2 <= 4 k^2 at both steps, and
+|psi'|^2 + kappa^2 |psi|^2 is constant inside.  Where kappa^2 <= 0, |psi|^2
+is convex, so |psi| <= 2 and then |psi'| <= 2 k0.  Where kappa^2 > 0,
+|psi| <= 2 k / kappa and |psi'| <= 2 k, and propagation from the step
+nearer x0, at distance l, gives |psi(x0)| <= 2 + 2 k l.  Each panel's
+error is weighted by these bounds over its wave numbers before the chopping
+test, at an equal share of one piece's budget per C and S, so the interior
+part of an amplitude errs by at most one piece's tolerance (see
+_interior_bound).
 
 The spatial integrals behind every cache use one fixed rule per region of f:
 the composite 32-point Gauss-Legendre panels on which the adaptive
 quadrature engine, in its signed mode (see the quadrature module),
-integrates f against plane-wave probes (and, inside the barrier,
-eigenfunction probes) at wave numbers across [-k_max, k_max], starting from
-panels sized for the top frequency k_max plus f's phase.  f is sampled on
-the rule once, so a cache's direct values at any array of wave numbers are
-sums of the weighted samples against the kernel.  For F_R the kernel is a
+integrates f against plane-wave probes at wave numbers across
+[-k_max, k_max], starting from panels sized for the top frequency k_max
+plus f's phase.  f is sampled on the rule once, so a cache's direct values
+at any array of wave numbers are sums of the weighted samples against the
+kernel.  For F_R the kernel is a
 plane wave, and a node of panel p is m_p + h_p xi_t, m_p the panel middle,
 h_p its half-width and xi_t a Gauss-Legendre offset, so
 
@@ -61,8 +94,8 @@ h_p its half-width and xi_t a Gauss-Legendre offset, so
                  * sum over t of wf_pt exp(i kappa h_p xi_t),
 
 the inner sums one matrix product per distinct panel width (see
-eigenbasis._panel_waves); the interior pieces multiply the eigenfunction
-matrix with the samples.  F_R is kept beside its rule.
+eigenbasis._panel_waves); C and S multiply their kernel matrices with the
+samples.  F_R, and a sub-region's pair (C, S), are kept beside their rule.
 
 An expansion truncated at k_max cannot see the part of f beyond the cutoff.
 After each build the mass of that part is bounded from the amplitudes at the
@@ -106,8 +139,9 @@ from .quadrature import (
     integrate_energy_batch,
     integrate_line,
 )
-from .scattering import Channel, SignLabel, _solve
-from .eigenbasis import _cis, _panel_waves, _wave_grid, energy_prefactor
+from .scattering import Channel, SignLabel, _sinc, _solve
+from .eigenbasis import _cis, _interior_waves, _panel_waves, _wave_grid, \
+    energy_prefactor
 from .testspace import TestFunction, _member, _product, _support, evaluate, \
     inner_product
 
@@ -126,7 +160,8 @@ __all__ = [
 
 # Fraction of spec.abs_tol allowed as interpolation error per assembled
 # amplitude; split over the four possible pieces of one channel (its three
-# exterior waves and the interior).
+# exterior waves and the interior, whose share is split again over the C and
+# S of its sub-regions).
 _CACHE_TOL_FRACTION = 0.1
 _PIECES_PER_CHANNEL = 4
 # Reported interpolation bound inflates the largest accepted panel error
@@ -158,6 +193,16 @@ _TO_CHEB = np.linalg.inv(cheb.chebvander(_LOBATTO, _DEGREE))
 _RULE_PROBES = 9
 # Wave numbers times rule nodes evaluated at once.
 _BLOCK_ENTRIES = 1 << 18
+# Largest k0 L / 2 on one interior sub-region of length L, with
+# k0 = sqrt(2 m v0) / hbar: below the barrier top cos(kappa (x - c0)) grows
+# up to exp(k0 L / 2) across it, and the pair (C, S) loses that factor to
+# cancellation.
+_INTERIOR_GROWTH = 4.0
+
+
+def _barrier_top(model: BarrierModel) -> float:
+    """k0 = sqrt(2 m v0) / hbar, the wave number of the barrier top."""
+    return math.sqrt(2.0 * model.mass * model.v0) / model.hbar
 
 
 def _piece_tol(spec: QuadratureSpec) -> float:
@@ -215,11 +260,14 @@ def _seed_panels(span: float, region_len: float) -> int:
 
 
 def _chebyshev_panels(direct, lo: float, hi: float, n0: int, tol: float,
-                      cap: int) -> _Panels:
+                      cap: int, weight=None) -> _Panels:
     """See module docstring: certified piecewise Chebyshev interpolation.
 
     direct maps a sorted array of wave numbers to values; it is called once
-    per refinement round, never twice at one wave number.
+    per refinement round, never twice at one wave number.  weight, when
+    given, maps the panels' edges (lo, hi) to a bound on the factor the
+    values are read with there; each panel's error is multiplied by it
+    before the test against tol, and max_err is that weighted error.
     """
     known = {}
     edges = np.linspace(lo, hi, n0 + 1)
@@ -248,6 +296,8 @@ def _chebyshev_panels(direct, lo: float, hi: float, n0: int, tol: float,
         tail = np.abs(coeffs[:, -2:]).max(axis=1)
         fit = cheb.chebval(np.array([-0.5, 0.5]), coeffs.T)
         err = np.maximum(tail, np.abs(fit - probe_vals).max(axis=1))
+        if weight is not None:
+            err = err * weight(a, b)
         # A panel too narrow to halve is kept with its observed error.
         ok = (err <= tol) | ~((a < mid) & (mid < b))
         worst = max(worst, float(err[ok].max(initial=0.0)))
@@ -287,10 +337,11 @@ class _Rule:
     function there, one row per panel, so the integral of f against any
     kernel over the region is kernel(x) @ wf.ravel().  center is the
     region's middle x0; fourier holds the region's F (see module docstring)
-    once _region_fourier has built it.
+    once _region_fourier has built it, and pair an interior region's (C, S)
+    once _region_pair has.
     """
 
-    __slots__ = ("mid", "half", "x", "wf", "center", "fourier")
+    __slots__ = ("mid", "half", "x", "wf", "center", "fourier", "pair")
 
     def __init__(self, mid: np.ndarray, half: np.ndarray, x: np.ndarray,
                  wf: np.ndarray, center: float):
@@ -300,6 +351,7 @@ class _Rule:
         self.wf = wf
         self.center = center
         self.fourier = None
+        self.pair = None
 
 
 _RULE_MEMO: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
@@ -309,8 +361,9 @@ def _region_rule(f: TestFunction, fs: TestFunction, region, spec: QuadratureSpec
                  ) -> _Rule:
     """The certified rule of fs, f's scaled copy, on one region.
 
-    Memoized per (f, region, spec): the pieces of both channels and both
-    sign families, and the momentum analysis, share one rule per region.
+    Memoized per (f, region, spec): the amplitudes of both channels and
+    both sign families, and the momentum analysis, share one rule per
+    region.
     """
     rules = _RULE_MEMO.setdefault(f, {})
     key = (region, spec)
@@ -322,28 +375,21 @@ def _region_rule(f: TestFunction, fs: TestFunction, region, spec: QuadratureSpec
 def _build_rule(fs: TestFunction, region, spec: QuadratureSpec) -> _Rule:
     """See module docstring: one spatial rule, certified at the top frequency.
 
-    The adaptive engine integrates fs against the probe kernels in its
-    signed mode, at the inner tolerance; the rule is the panels it returns
-    with fs sampled on them once.
+    The adaptive engine integrates fs against plane-wave probes of both
+    signs in its signed mode, at the inner tolerance; the rule is the panels
+    it returns with fs sampled on them once.  They certify the kernels of
+    an interior pair too: where kappa is real these oscillate no faster
+    than the top probe, and where it is imaginary they grow by at most
+    exp(_INTERIOR_GROWTH) across the sub-region.
     """
     lo, hi = region
-    model = fs.model
     ispec = _inner_spec(spec)
     k = np.linspace(_K_EPS_FRACTION * spec.k_max, spec.k_max, _RULE_PROBES)
     kappa = np.concatenate([-k[::-1], k])
     center = 0.5 * (lo + hi)
-    # The probes are the kernels the rule will meet: plane waves of both
-    # signs, and inside the barrier the eigenfunctions themselves.
-    sol = None
-    if model.a <= lo and hi <= model.b:
-        sol = _solve(model, (model.hbar * k) ** 2 / (2.0 * model.mass))
 
     def probes(x):
-        cols = [_cis(np.outer(x - center, kappa))]
-        if sol is not None:
-            cols += [_wave_grid(model, sol, c, s, x, include_prefactor=False).T
-                     for c in Channel for s in SignLabel]
-        return evaluate(fs, x)[:, None] * np.concatenate(cols, axis=1)
+        return evaluate(fs, x)[:, None] * _cis(np.outer(x - center, kappa))
 
     _, _, a, b, _ = _adaptive(partial(_eval_panels, probes, True), lo, hi,
                               ispec.abs_tol, ispec.rel_tol,
@@ -377,14 +423,6 @@ def _fourier_direct(rule: _Rule, kappa: np.ndarray) -> np.ndarray:
         rule.wf, rule.mid, rule.half, _GL_X, k, rule.center).sum(axis=0))
 
 
-def _interior_direct(model: BarrierModel, rule: _Rule, channel: Channel,
-                     family: SignLabel, k_arr: np.ndarray) -> np.ndarray:
-    """Integrals of f against the family's eigenfunction over the rule."""
-    return _apply_rule(rule, k_arr, lambda k: _wave_grid(
-        model, _solve(model, (model.hbar * k) ** 2 / (2.0 * model.mass)),
-        channel, family, rule.x, include_prefactor=False) @ rule.wf.ravel())
-
-
 def _region_fourier(f: TestFunction, fs: TestFunction, region,
                     spec: QuadratureSpec) -> _Rule:
     """The rule of one region with its F built: see module docstring.
@@ -401,6 +439,62 @@ def _region_fourier(f: TestFunction, fs: TestFunction, region,
     return rule
 
 
+def _pair_direct(rule: _Rule, model: BarrierModel, which: int,
+                 k_arr: np.ndarray) -> np.ndarray:
+    """C (which 0) or S (which 1) of an interior rule's region at wave
+    numbers k_arr: the integrals of f against cos(kappa (x - x0)) and
+    (x - x0) sinc(kappa (x - x0)), kappa^2 = k^2 - k0^2."""
+    k0 = _barrier_top(model)
+    dx = rule.x - rule.center
+
+    def values(k):
+        # kappa dx is real or imaginary, so either kernel is real.
+        z = np.sqrt(k * k - k0 * k0 + 0j)[:, None] * dx
+        kernel = np.cos(z) if which == 0 else dx * _sinc(z)
+        return kernel.real @ rule.wf.ravel()
+
+    return _apply_rule(rule, k_arr, values)
+
+
+def _interior_bound(model: BarrierModel, center: float, which: int,
+                    ka: np.ndarray, kb: np.ndarray) -> np.ndarray:
+    """Bound on |psi| (which 0) or |psi'| (which 1) at center over panels
+    [ka, kb] of wave numbers, psi either channel's eigenfunction for unit
+    incidence: the factors C and S are read with (see module docstring)."""
+    k0 = _barrier_top(model)
+    if which == 1:
+        return 2.0 * np.maximum(kb, k0)
+    reach = min(center - model.a, model.b - center)
+    kappa = np.sqrt(np.maximum(ka * ka - k0 * k0, 0.0))
+    flux = np.divide(2.0 * ka, kappa, out=np.full(ka.shape, np.inf),
+                     where=kappa > 0.0)
+    return np.where(kb <= k0, 2.0, np.minimum(2.0 + 2.0 * kb * reach, flux))
+
+
+def _region_pair(f: TestFunction, fs: TestFunction, region, parts: int,
+                 spec: QuadratureSpec) -> _Rule:
+    """The rule of one of the parts sub-regions of the interior with its
+    pair (C, S) built: see module docstring.
+
+    The pair is built on first use and kept on the memoized rule, so both
+    channels and both sign families share one build.  C and S are
+    interpolated in k over [k_min, k_max], each certified at its share of
+    the interior's budget against the bound on the factor it is read with.
+    """
+    rule = _region_rule(f, fs, region, spec)
+    if rule.pair is None:
+        k_lo = _K_EPS_FRACTION * spec.k_max
+        n0 = _seed_panels(spec.k_max - k_lo, region[1] - region[0])
+        tol = _piece_tol(spec) / (2.0 * parts)
+        rule.pair = tuple(
+            _chebyshev_panels(partial(_pair_direct, rule, fs.model, which),
+                              k_lo, spec.k_max, n0, tol, spec.max_subdivisions,
+                              partial(_interior_bound, fs.model, rule.center,
+                                      which))
+            for which in (0, 1))
+    return rule
+
+
 class EnergyAmplitude:
     """Spectral amplitudes of one test function in one sign family.
 
@@ -408,9 +502,8 @@ class EnergyAmplitude:
     energy E > 0 (scalar or array), exactly zero beyond the truncation
     energy.  osc_hint reports the dominant oscillation rate in k for
     integrals over the spectrum; max_interp_error bounds the cache error.
-    cache_points counts, per channel, the distinct interpolation points its
-    amplitude reads; a region cache that both channels share counts once
-    in each.
+    cache_points counts the distinct interpolation points the amplitudes
+    read; every cache serves both channels.
     """
 
     __slots__ = ("model", "sign", "hbar", "mass", "k_min", "k_max", "scale",
@@ -420,8 +513,8 @@ class EnergyAmplitude:
     def __init__(self, model, sign, spec: QuadratureSpec, sides, interior,
                  scale=1.0):
         """sides holds the rule of the support's part left of a and right
-        of b, None where that part is empty; interior maps each channel to
-        its interior panels, or is empty."""
+        of b, None where that part is empty; interior holds the rules of
+        its sub-regions inside [a, b] with their pairs built, or is empty."""
         self.model = model
         self.sign = sign
         self.hbar = model.hbar
@@ -432,11 +525,12 @@ class EnergyAmplitude:
         self._sides = sides
         self._interior = interior
         caches = [rule.fourier for rule in sides if rule is not None]
-        self.cache_points = {
-            c: sum(p.points for p in caches)
-            + (interior[c].points if interior else 0) for c in Channel}
+        pairs = [p for rule in interior for p in rule.pair]
+        self.cache_points = sum(p.points for p in caches + pairs)
+        # The pairs' errors are already weighted by the bounds on psi and
+        # psi', so their sum bounds the interior piece.
         self.max_interp_error = scale * _INTERP_SAFETY * _PIECES_PER_CHANNEL * max(
-            (p.max_err for p in caches + list(interior.values())), default=0.0)
+            [p.max_err for p in caches] + [sum(p.max_err for p in pairs)])
         self.osc_hint = max(
             (abs(rule.center) for rule in sides if rule is not None),
             default=0.0)
@@ -445,13 +539,17 @@ class EnergyAmplitude:
     def e_cut(self) -> float:
         return (self.hbar * self.k_max) ** 2 / (2.0 * self.mass)
 
-    def _reduced(self, k: np.ndarray, sol, channels) -> dict:
-        """Amplitudes over the spectral prefactor at wave numbers k.
+    def _at(self, sol, channels=(Channel.LEFT, Channel.RIGHT), k=None) -> dict:
+        """Amplitudes of the channels at wave numbers k, by default those of
+        the matching solution sol.
 
-        sol holds the matching data at k (or at k clipped to the cache
-        range); the exterior weights come from it.  Each side's G(-k) and
-        G(k) are formed once for all channels.
+        sol holds the matching data at k, or at k clipped to the cache
+        range; the exterior weights and the interior (psi, psi') come from
+        it, so no second solve is needed.  Each side's G(-k) and G(k) and
+        each sub-region's C(k) and S(k) are formed once for all channels.
         """
+        if k is None:
+            k = sol.k
         kc = np.clip(k, self.k_min, self.k_max)
         out = {c: np.zeros(k.shape, dtype=complex) for c in channels}
         for rule, weights in zip(self._sides, _exterior_weights(sol, self.sign)):
@@ -462,19 +560,22 @@ class EnergyAmplitude:
             for c in channels:
                 w_a, w_b = weights[c]
                 out[c] += np.conj(w_a) * g_minus + np.conj(w_b) * g_plus
+        if self._interior:
+            centers = np.array([rule.center for rule in self._interior])
+            c_vals, s_vals = (
+                np.stack([rule.pair[i](kc) for rule in self._interior], axis=1)
+                for i in (0, 1))
+            for c in channels:
+                psi, dpsi = _interior_waves(self.model, sol, c, centers)
+                if self.sign is SignLabel.PLUS:
+                    psi, dpsi = np.conj(psi), np.conj(dpsi)
+                out[c] += np.sum(psi * c_vals + dpsi * s_vals, axis=1)
+        pref = energy_prefactor(self.model, np.clip(k, self.k_min, None))
         for c in channels:
-            if self._interior:
-                out[c] += self._interior[c](kc)
             out[c] *= self.scale
             out[c][k > self.k_max] = 0.0
+            out[c] *= pref
         return out
-
-    def _at(self, sol, channels=(Channel.LEFT, Channel.RIGHT)) -> dict:
-        """Amplitudes of the channels at the energies of the matching
-        solution sol, which supplies their coefficients: no second solve."""
-        k = sol.k
-        pref = energy_prefactor(self.model, np.clip(k, self.k_min, None))
-        return {c: v * pref for c, v in self._reduced(k, sol, channels).items()}
 
     def amplitude(self, energy, channel: Channel):
         e_arr = np.atleast_1d(np.asarray(energy, dtype=float))
@@ -485,9 +586,7 @@ class EnergyAmplitude:
         # for every energy the spectrum admits.
         kc = np.clip(k, self.k_min, self.k_max)
         sol = _solve(self.model, (self.hbar * kc) ** 2 / (2.0 * self.mass))
-        vals = self._reduced(k, sol, (channel,))[channel] * energy_prefactor(
-            self.model, np.clip(k, self.k_min, None))
-        vals[k > self.k_max] = 0.0
+        vals = self._at(sol, (channel,), k)[channel]
         if np.ndim(energy) == 0:
             return complex(vals[0])
         return vals
@@ -588,23 +687,18 @@ def energy_transform(f: TestFunction, sign: SignLabel,
     lo, hi = _support(f, spec)
     scale = _amplitude_scale(f, lo, hi)
     fs = f if scale == 1.0 else f.scaled(1.0 / scale)
-    k_lo = _K_EPS_FRACTION * spec.k_max
-    # The plus analysis integrates against conj(plus wave) = minus wave.
-    family = SignLabel.MINUS if sign is SignLabel.PLUS else SignLabel.PLUS
     # An empty support leaves every region empty.
     sides = tuple(_region_fourier(f, fs, region, spec)
                   if region[1] > region[0] else None
                   for region in ((lo, min(model.a, hi)), (max(model.b, lo), hi)))
-    interior = {}
-    mid = (max(model.a, lo), min(model.b, hi))
-    if mid[1] > mid[0]:
-        rule = _region_rule(f, fs, mid, spec)
-        for channel in (Channel.LEFT, Channel.RIGHT):
-            interior[channel] = _chebyshev_panels(
-                lambda k, channel=channel: _interior_direct(
-                    model, rule, channel, family, k),
-                k_lo, spec.k_max, _seed_panels(spec.k_max - k_lo, mid[1] - mid[0]),
-                _piece_tol(spec), spec.max_subdivisions)
+    interior = ()
+    lo_in, hi_in = max(model.a, lo), min(model.b, hi)
+    if hi_in > lo_in:
+        parts = max(1, math.ceil(_barrier_top(model) * (hi_in - lo_in)
+                                 / (2.0 * _INTERIOR_GROWTH)))
+        edges = np.linspace(lo_in, hi_in, parts + 1).tolist()
+        interior = tuple(_region_pair(f, fs, region, parts, spec)
+                         for region in zip(edges[:-1], edges[1:]))
     amp = EnergyAmplitude(model, sign, spec, sides, interior, scale)
     _certify_cutoff(amp, _energy_tail(amp), f, spec, "k_max")
     memo[key] = amp

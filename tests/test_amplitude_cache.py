@@ -178,6 +178,15 @@ _DENSE_X, _DENSE_W = np.polynomial.legendre.leggauss(24)
 _DENSE_PER_UNIT = 32
 
 
+def _pair_kernels(kappa_sq, dx):
+    """cos(kappa dx) and sin(kappa dx) / kappa, written out per regime."""
+    if kappa_sq >= 0.0:
+        kappa = math.sqrt(kappa_sq)
+        return np.cos(kappa * dx), np.sin(kappa * dx) / kappa
+    q = math.sqrt(-kappa_sq)
+    return np.cosh(q * dx), np.sinh(q * dx) / q
+
+
 def _dense_integral(g, lo, hi):
     """Integral of the (n, B) integrand g over [lo, hi], by the fixed rule."""
     edges = np.linspace(lo, hi, math.ceil((hi - lo) * _DENSE_PER_UNIT) + 1)
@@ -196,13 +205,12 @@ def test_spatial_rule_matches_adaptive_quadrature(packet):
     # The rules are read directly, so that the cutoff test, which refuses
     # the last two packets, does not skip the comparison.  Each exterior
     # side's G(s k) = F(s k) exp(i s k x0), s = +-1, is held against the
-    # reference integral of f exp(i s k x) over the side, and each interior
-    # piece against the reference integral of f against its eigenfunction.
+    # reference integral of f exp(i s k x) over the side, and the interior's
+    # C and S against the reference integrals of f against cos(kappa
+    # (x - x0)) and sin(kappa (x - x0)) / kappa.
     f = build_test_function(MODEL, packet)
     lo, hi, fs = _scaled_copy(f)
     ispec = tr._inner_spec(SPEC)
-    energies = (MODEL.hbar * PROBE_K) ** 2 / (2.0 * MODEL.mass)
-    sol = _solve(MODEL, energies)
     sides = 0
     for region in ((lo, min(MODEL.a, hi)), (max(MODEL.b, lo), hi)):
         if not region[1] > region[0]:
@@ -223,17 +231,19 @@ def test_spatial_rule_matches_adaptive_quadrature(packet):
     mid = (max(MODEL.a, lo), min(MODEL.b, hi))
     interiors = 0
     if mid[1] > mid[0]:
+        # The default barrier is low enough (k0 L / 2 = 0.71) for the whole
+        # interior to be one sub-region.
         rule = tr._region_rule(f, fs, mid, SPEC)
-        for family in SignLabel:
-            for channel in Channel:
-                got = tr._interior_direct(MODEL, rule, channel, family, PROBE_K)
-                ref = _dense_integral(
-                    lambda x: evaluate(fs, x)[:, None] * _wave_grid(
-                        MODEL, sol, channel, family, x,
-                        include_prefactor=False).T, mid[0], mid[1])
-                assert np.max(np.abs(got - ref)) <= ispec.abs_tol
-                interiors += 1
-    assert interiors == (4 if lo < MODEL.a < hi else 0)
+        kappa_sq = PROBE_K ** 2 - 2.0 * MODEL.mass * MODEL.v0 / MODEL.hbar ** 2
+        for which in (0, 1):
+            got = tr._pair_direct(rule, MODEL, which, PROBE_K)
+            ref = _dense_integral(
+                lambda x: evaluate(fs, x)[:, None] * np.stack(
+                    [_pair_kernels(q, x - rule.center)[which]
+                     for q in kappa_sq], axis=1), mid[0], mid[1])
+            assert np.max(np.abs(got - ref)) <= ispec.abs_tol
+            interiors += 1
+    assert interiors == (2 if lo < MODEL.a < hi else 0)
     rule = tr._region_rule(f, fs, (lo, hi), SPEC)
     demod = 0.5 * (lo + hi)
     momenta = MODEL.hbar * np.concatenate([-PROBE_K[::-1], PROBE_K])
@@ -298,9 +308,65 @@ def test_one_sided_packet_builds_one_cache(monkeypatch):
     amps = [energy_transform(f, sign, SPEC) for sign in SignLabel]
     mom = momentum_transform(f, "analysis", SPEC)
     assert builds == [(-SPEC.k_max, SPEC.k_max)]
-    # Each channel counts the shared cache once, as does the momentum side.
-    points = {amp.cache_points[c] for amp in amps for c in Channel}
-    assert points == {mom.cache_points}
+    # Both sign families count the shared cache once, as does the momentum
+    # side.
+    assert {amp.cache_points for amp in amps} == {mom.cache_points}
+
+
+def test_straddling_packet_builds_one_interior_pair(monkeypatch):
+    # Inside the barrier both sign families of both channels read one pair
+    # (C, S) per interior sub-region, and the default barrier's interior is
+    # one sub-region: 134 points at the time of writing, where one cache
+    # per (channel, sign) took four builds and 1804 points.
+    f = build_test_function(MODEL, GaussianPacket(0.5, 1.0))
+    builds = []
+
+    def counting_panels(*args, **kwargs):
+        panels = chebyshev_panels(*args, **kwargs)
+        builds.append((args[1:3], panels.points))
+        return panels
+
+    chebyshev_panels = tr._chebyshev_panels
+    monkeypatch.setattr(tr, "_chebyshev_panels", counting_panels)
+    for sign in SignLabel:
+        # The cutoff refuses this packet, after its caches are built.
+        with pytest.raises(AccuracyError, match="cutoff"):
+            energy_transform(f, sign, SPEC)
+    interior = [points for span, points in builds
+                if span != (-SPEC.k_max, SPEC.k_max)]
+    assert len(interior) == 2
+    assert sum(interior) <= 400
+
+
+def test_opaque_barrier_amplitudes_match_dense_reference():
+    # At v0 = 1e4 (k0 = 100) the interior is cut into 13 sub-regions, so
+    # that cos(kappa (x - x0)) grows by at most exp(4) across each.  One
+    # interior cache per (channel, sign) exhausted the point budget here.
+    # The wave numbers cross the barrier top k0.
+    model = BarrierModel(v0=1e4)
+    spec = QuadratureSpec(k_max=160.0)
+    f = build_test_function(model, GaussianPacket(0.5, 0.5))
+    lo, hi = _support(f, spec)
+    k = np.array([1.0, 50.0, 99.0, 99.99, 100.0, 100.01, 101.0, 120.0, 159.0])
+    energies = (model.hbar * k) ** 2 / (2.0 * model.mass)
+    sol = _solve(model, energies)
+    for sign in SignLabel:
+        with pytest.raises(AccuracyError, match="cutoff") as info:
+            energy_transform(f, sign, spec)
+        amp = info.value.value
+        assert isinstance(amp, EnergyAmplitude)
+        # The sign's amplitude integrates f against the conjugate wave,
+        # which is the other family's.
+        family = SignLabel.MINUS if sign is SignLabel.PLUS else SignLabel.PLUS
+        for channel in Channel:
+            ref = sum(_dense_integral(
+                lambda x: evaluate(f, x)[:, None] * _wave_grid(
+                    model, sol, channel, family, x).T, r_lo, r_hi)
+                for r_lo, r_hi in ((lo, model.a), (model.a, model.b),
+                                   (model.b, hi)))
+            err = np.max(np.abs(amp.amplitude(energies, channel) - ref))
+            assert err <= 1e-12
+            assert err <= amp.max_interp_error
 
 
 @pytest.mark.parametrize("packet", [

@@ -271,4 +271,4 @@ def test_transform_caches_are_reused(f):
 
 def test_interp_error_report(amp):
     assert 0.0 < amp.max_interp_error < 1e-9
-    assert amp.cache_points[Channel.LEFT] > 100
+    assert amp.cache_points > 100
