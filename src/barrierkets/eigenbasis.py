@@ -10,7 +10,10 @@ formed by _cis, one cos and one sin per phase.  Sums of plane waves over
 the nodes of composite Gauss-Legendre panels (the Fourier caches of the
 transforms and both syntheses) go through _panel_waves, which forms the
 waves of one panel from its middle's wave and one table per panel width
-instead of one cos and one sin per (node, frequency).  The position
+instead of one cos and one sin per (node, frequency).  The Gauss-Legendre
+offsets are mirrored about 0 bit for bit, and _cis(-phi) is conj(_cis(phi))
+bit for bit, so each table is formed on the distinct |offset| only and
+conjugated where the offset is negative.  The position
 eigenfunctions are delta distributions; they have no pointwise values and
 act only inside integrals, so no evaluator for them exists here.
 
@@ -67,7 +70,8 @@ def _panel_waves(coef: np.ndarray, mid: np.ndarray, half: np.ndarray,
     forms them.  Each wave factors as exp(i freq (mid_p - origin)) times
     exp(i freq half_p offset_t): the second factor is one (offsets x
     frequencies) table per distinct half-width, shared by every panel of
-    that width, and the sum over t is a matrix product with it.  What the
+    that width, formed on the distinct |offset_t| and conjugated where
+    offset_t < 0, and the sum over t is a matrix product with it.  What the
     roundings of x and of mid_p - origin leave between the two (found
     exactly by Knuth's two-sum, a few ulps of x) enters to first order,
     exp(i freq d) = 1 + i freq d, as a second product with the same table.
@@ -86,10 +90,14 @@ def _panel_waves(coef: np.ndarray, mid: np.ndarray, half: np.ndarray,
     pair = np.stack(np.broadcast_arrays(coef, coef * resid))
     sums = np.empty(pair.shape[:-1] + (freqs.size,), dtype=complex)
     widths, group = np.unique(half, return_inverse=True)
+    mags, back = np.unique(np.abs(offsets), return_inverse=True)
+    back = back.reshape(offsets.shape)
+    flip = (offsets < 0.0)[..., None]
     for i, h in enumerate(widths.tolist()):
         sel = group == i
-        sums[..., sel, :] = pair[..., sel, :] @ _cis(
-            (h * offsets)[..., None] * freqs)
+        table = _cis((h * mags)[:, None] * freqs)[back]
+        np.conj(table, out=table, where=flip)
+        sums[..., sel, :] = pair[..., sel, :] @ table
     out = sums[0]
     out += 1j * freqs * sums[1]
     out *= _cis(np.outer(shift, freqs))

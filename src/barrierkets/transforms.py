@@ -113,6 +113,15 @@ and contracts them with the plane waves panel by panel through the same
 factorization as F_R, so no (nodes x positions) table of waves is formed.
 Positions inside [a, b] keep the pointwise eigenfunction rows.
 
+Every interpolant is read by _chebval: the Clenshaw recurrence in numpy's
+chebval order, gathering one coefficient column per degree, so a read forms
+no (degrees x points) array and returns chebval's bits.  An amplitude read
+evaluates each side's F once, at (-k, k).  The matching solutions the reads
+take are kept for the last _MATCHING_ENTRIES node arrays (_matching): the
+plus and minus integrals of one function start on identical nodes, and on
+the benchmark's round trip about 44% of the energies solved were such
+repeats.  The scattering kernel itself caches nothing.
+
 Transforms are memoized per (function, sign, tolerance spec); caches are
 write-once and all callables are pure.
 """
@@ -121,7 +130,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import replace as drep
+from dataclasses import fields, replace as drep
 from functools import partial
 
 import numpy as np
@@ -193,6 +202,8 @@ _TO_CHEB = np.linalg.inv(cheb.chebvander(_LOBATTO, _DEGREE))
 _RULE_PROBES = 9
 # Wave numbers times rule nodes evaluated at once.
 _BLOCK_ENTRIES = 1 << 18
+# Node arrays whose matching solutions _matching keeps.
+_MATCHING_ENTRIES = 4
 # Largest k0 L / 2 on one interior sub-region of length L, with
 # k0 = sqrt(2 m v0) / hbar: below the barrier top cos(kappa (x - c0)) grows
 # up to exp(k0 L / 2) across it, and the pair (C, S) loses that factor to
@@ -203,6 +214,32 @@ _INTERIOR_GROWTH = 4.0
 def _barrier_top(model: BarrierModel) -> float:
     """k0 = sqrt(2 m v0) / hbar, the wave number of the barrier top."""
     return math.sqrt(2.0 * model.mass * model.v0) / model.hbar
+
+
+_MATCHING_MEMO: dict = {}
+
+
+def _matching(model: BarrierModel, energies: np.ndarray):
+    """The matching solution at a 1-d array of energies, kept for the last
+    _MATCHING_ENTRIES arrays (see module docstring).
+
+    Keyed by the model and the array's bytes, so only an identical node
+    array hits.  The solution's arrays are read-only: every reader of the
+    memo shares them.
+    """
+    energies = np.asarray(energies, dtype=float)
+    key = (model, energies.shape, energies.tobytes())
+    sol = _MATCHING_MEMO.pop(key, None)
+    if sol is None:
+        sol = _solve(model, energies.copy())
+        for field in fields(sol):
+            value = getattr(sol, field.name)
+            for arr in value if isinstance(value, tuple) else (value,):
+                arr.flags.writeable = False
+        if len(_MATCHING_MEMO) >= _MATCHING_ENTRIES:
+            del _MATCHING_MEMO[next(iter(_MATCHING_MEMO))]
+    _MATCHING_MEMO[key] = sol
+    return sol
 
 
 def _piece_tol(spec: QuadratureSpec) -> float:
@@ -231,28 +268,44 @@ def _amplitude_scale(f: TestFunction, lo: float, hi: float) -> float:
     return peak
 
 
+def _chebval(t: np.ndarray, cols, idx=Ellipsis) -> np.ndarray:
+    """Chebyshev series at t, with the coefficient of degree n of point j
+    read as cols[n][idx][j].
+
+    The recurrence is numpy's chebval (Clenshaw, Math. Comp. 9 (1955) 118)
+    in its own operation order, so the values are chebval's bits; only the
+    series are never gathered into one (degrees x points) array.  2t is
+    cast to complex once, as chebval's products would cast it every step.
+    """
+    x2 = (2.0 * t).astype(complex)
+    c0, c1 = cols[-2][idx], cols[-1][idx]
+    for col in cols[-3::-1]:
+        c0, c1 = col[idx] - c1, c0 + c1 * x2
+    return c0 + c1 * t
+
+
 class _Panels:
     """Piecewise Chebyshev interpolant: sorted panel edges, one series each.
 
-    points counts the direct values it was fitted from, max_err is its
-    largest accepted panel error.
+    cols holds the series as contiguous columns, one row per degree, so a
+    read gathers one coefficient at a time.  points counts the direct
+    values it was fitted from, max_err is its largest accepted panel error.
     """
 
-    __slots__ = ("edges", "coeffs", "points", "max_err")
+    __slots__ = ("edges", "cols", "points", "max_err")
 
     def __init__(self, edges: np.ndarray, coeffs: np.ndarray, points: int = 0,
                  max_err: float = 0.0):
-        self.edges = edges    # (P + 1,)
-        self.coeffs = coeffs  # (P, _DEGREE + 1)
+        self.edges = edges  # (P + 1,)
+        self.cols = np.ascontiguousarray(coeffs.T)  # (_DEGREE + 1, P)
         self.points = points
         self.max_err = max_err
 
     def __call__(self, k: np.ndarray) -> np.ndarray:
         idx = np.clip(np.searchsorted(self.edges, k, side="right") - 1,
-                      0, len(self.coeffs) - 1)
+                      0, self.cols.shape[1] - 1)
         a, b = self.edges[idx], self.edges[idx + 1]
-        t = (2.0 * k - (a + b)) / (b - a)
-        return cheb.chebval(t, self.coeffs[idx].T, tensor=False)
+        return _chebval((2.0 * k - (a + b)) / (b - a), self.cols, idx)
 
 
 def _seed_panels(span: float, region_len: float) -> int:
@@ -269,7 +322,8 @@ def _chebyshev_panels(direct, lo: float, hi: float, n0: int, tol: float,
     values are read with there; each panel's error is multiplied by it
     before the test against tol, and max_err is that weighted error.
     """
-    known = {}
+    known_k = np.empty(0)                 # sorted wave numbers
+    known_v = np.empty(0, dtype=complex)  # direct values there
     edges = np.linspace(lo, hi, n0 + 1)
     pending_lo, pending_hi = edges[:-1], edges[1:]
     done_lo, done_coeffs = [], []
@@ -283,18 +337,20 @@ def _chebyshev_panels(direct, lo: float, hi: float, n0: int, tol: float,
         # fails hands them on as its halves' middle nodes.
         probes = np.stack([0.5 * (a + mid), 0.5 * (mid + b)], axis=1)
         wanted = np.unique(np.concatenate([nodes.ravel(), probes.ravel()]))
-        new = [k for k in wanted.tolist() if k not in known]
-        if len(known) + len(new) > cap:
+        new = np.setdiff1d(wanted, known_k, assume_unique=True)
+        if known_k.size + new.size > cap:
             raise AccuracyError(
                 "amplitude cache refinement exhausted its point budget",
                 error=worst)
-        if new:
-            known.update(zip(new, direct(np.array(new)).tolist()))
-        node_vals = np.array([[known[k] for k in row] for row in nodes.tolist()])
-        probe_vals = np.array([[known[k] for k in row] for row in probes.tolist()])
+        if new.size:
+            at = np.searchsorted(known_k, new)
+            known_v = np.insert(known_v, at, direct(new))
+            known_k = np.insert(known_k, at, new)
+        node_vals = known_v[np.searchsorted(known_k, nodes)]
+        probe_vals = known_v[np.searchsorted(known_k, probes)]
         coeffs = node_vals @ _TO_CHEB.T
         tail = np.abs(coeffs[:, -2:]).max(axis=1)
-        fit = cheb.chebval(np.array([-0.5, 0.5]), coeffs.T)
+        fit = _chebval(np.array([-0.5, 0.5]), coeffs.T[:, :, None])
         err = np.maximum(tail, np.abs(fit - probe_vals).max(axis=1))
         if weight is not None:
             err = err * weight(a, b)
@@ -309,7 +365,8 @@ def _chebyshev_panels(direct, lo: float, hi: float, n0: int, tol: float,
     starts = np.concatenate(done_lo)
     order = np.argsort(starts, kind="stable")
     edges = np.append(starts[order], hi)
-    return _Panels(edges, np.concatenate(done_coeffs)[order], len(known), worst)
+    return _Panels(edges, np.concatenate(done_coeffs)[order], known_k.size,
+                   worst)
 
 
 def _exterior_weights(sol, sign: SignLabel):
@@ -385,11 +442,13 @@ def _build_rule(fs: TestFunction, region, spec: QuadratureSpec) -> _Rule:
     lo, hi = region
     ispec = _inner_spec(spec)
     k = np.linspace(_K_EPS_FRACTION * spec.k_max, spec.k_max, _RULE_PROBES)
-    kappa = np.concatenate([-k[::-1], k])
     center = 0.5 * (lo + hi)
 
     def probes(x):
-        return evaluate(fs, x)[:, None] * _cis(np.outer(x - center, kappa))
+        # Columns at -k[::-1], then k: the waves at -k are the conjugates.
+        wave = _cis(np.outer(x - center, k))
+        return evaluate(fs, x)[:, None] * np.concatenate(
+            [np.conj(wave[:, ::-1]), wave], axis=1)
 
     _, _, a, b, _ = _adaptive(partial(_eval_panels, probes, True), lo, hi,
                               ispec.abs_tol, ispec.rel_tol,
@@ -545,18 +604,23 @@ class EnergyAmplitude:
 
         sol holds the matching data at k, or at k clipped to the cache
         range; the exterior weights and the interior (psi, psi') come from
-        it, so no second solve is needed.  Each side's G(-k) and G(k) and
-        each sub-region's C(k) and S(k) are formed once for all channels.
+        it, so no second solve is needed.  Each side's G(-k) and G(k) are
+        one read of its F at (-k, k), exp(-i k x0) the conjugate of
+        exp(i k x0); they and each sub-region's C(k) and S(k) are formed
+        once for all channels.
         """
         if k is None:
             k = sol.k
         kc = np.clip(k, self.k_min, self.k_max)
         out = {c: np.zeros(k.shape, dtype=complex) for c in channels}
+        signed = np.concatenate([-kc, kc])
         for rule, weights in zip(self._sides, _exterior_weights(sol, self.sign)):
             if rule is None:
                 continue
-            g_minus = rule.fourier(-kc) * _cis(-rule.center * kc)
-            g_plus = rule.fourier(kc) * _cis(rule.center * kc)
+            f_minus, f_plus = np.split(rule.fourier(signed), 2)
+            wave = _cis(rule.center * kc)
+            g_minus = f_minus * np.conj(wave)
+            g_plus = f_plus * wave
             for c in channels:
                 w_a, w_b = weights[c]
                 out[c] += np.conj(w_a) * g_minus + np.conj(w_b) * g_plus
@@ -585,7 +649,7 @@ class EnergyAmplitude:
         # The matching is solved inside the cache range, where it is finite
         # for every energy the spectrum admits.
         kc = np.clip(k, self.k_min, self.k_max)
-        sol = _solve(self.model, (self.hbar * kc) ** 2 / (2.0 * self.mass))
+        sol = _matching(self.model, (self.hbar * kc) ** 2 / (2.0 * self.mass))
         vals = self._at(sol, (channel,), k)[channel]
         if np.ndim(energy) == 0:
             return complex(vals[0])
@@ -649,7 +713,7 @@ def _tail_mass(edge: float, cut: float) -> float:
 
 def _energy_tail(amp: EnergyAmplitude) -> float:
     e_probe = amp.e_cut * (1.0 - 1e-12)
-    vals = amp._at(_solve(amp.model, np.array([e_probe])))
+    vals = amp._at(_matching(amp.model, np.array([e_probe])))
     edge = sum(abs(v[0]) ** 2 for v in vals.values())
     return _tail_mass(edge, amp.e_cut)
 
@@ -738,6 +802,15 @@ def _synthesis_panels(sample, ncols: int):
     return evaluate
 
 
+def _positions(x) -> np.ndarray:
+    """The synthesis positions x as a 1-d array, refusing non-finite ones,
+    which no panel count of the spectral integral can resolve."""
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.isfinite(x_arr).all():
+        raise DomainError("synthesis needs finite positions")
+    return x_arr
+
+
 def synthesize_energy(amp: EnergyAmplitude, x, spec: QuadratureSpec,
                       channels=(Channel.LEFT, Channel.RIGHT)):
     """Reconstruct position values from spectral amplitudes.
@@ -753,13 +826,13 @@ def synthesize_energy(amp: EnergyAmplitude, x, spec: QuadratureSpec,
     _synthesis_panels; inside it the sum is formed from _wave_grid's rows.
     """
     model = amp.model
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    x_arr = _positions(x)
     left, right = x_arr < model.a, x_arr > model.b
     mid = ~(left | right)
     jac = model.hbar ** 2 / model.mass
 
     def sample(k):
-        sol = _solve(model, (model.hbar * k) ** 2 / (2.0 * model.mass))
+        sol = _matching(model, (model.hbar * k) ** 2 / (2.0 * model.mass))
         pref = energy_prefactor(model, sol.k) * (jac * k)
         vals = {c: v * pref for c, v in amp._at(sol, channels).items()}
         waves = [(cols, x_arr[cols],
@@ -825,7 +898,7 @@ def momentum_transform(f: TestFunction, direction: str = "analysis",
 def synthesize_momentum(amp: MomentumAmplitude, x, spec: QuadratureSpec):
     """Inverse plane-wave transform at x (scalar or array)."""
     hbar = amp.hbar
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    x_arr = _positions(x)
     scale = 1.0 / math.sqrt(2.0 * math.pi * hbar)
 
     def sample(p):
@@ -881,7 +954,7 @@ def _energy_overlap(f: TestFunction, g: TestFunction, sign: SignLabel,
 
     def integrand(e):
         w = e ** weight_power if weight_power else 1.0
-        sol = _solve(model, e)
+        sol = _matching(model, e)
         vf = af._at(sol)
         vg = vf if ag is af else ag._at(sol)
         total = np.zeros(np.shape(e), dtype=complex)
@@ -977,7 +1050,7 @@ def spectral_probability(f: TestFunction, e_lo: float, e_hi: float,
 
     def integrand(e):
         # One column per channel, both read from one matching solve.
-        vals = amp._at(_solve(model, e)).values()
+        vals = amp._at(_matching(model, e)).values()
         return np.stack([np.abs(v) ** 2 for v in vals], axis=1) + 0j
 
     values = np.zeros(len(Channel))

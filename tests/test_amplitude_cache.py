@@ -84,6 +84,20 @@ def test_momentum_amplitude_at_non_finite_momenta():
         mom.amplitude(np.array([0.0, math.nan]))
 
 
+def test_syntheses_refuse_non_finite_positions():
+    # A non-finite position has no oscillation rate to start the spectral
+    # integral's panels from; both syntheses refuse it as the amplitudes
+    # refuse nan.
+    f = build_test_function(MODEL, GaussianPacket(-20.0, 1.0, 3.0))
+    amp = energy_transform(f, SignLabel.PLUS, SPEC)
+    mom = momentum_transform(f, "analysis", SPEC)
+    for x in (math.nan, math.inf, -math.inf, np.array([0.0, math.nan])):
+        with pytest.raises(DomainError):
+            synthesize_energy(amp, x, SPEC)
+        with pytest.raises(DomainError):
+            synthesize_momentum(mom, x, SPEC)
+
+
 def test_battery_packet_at_tight_tolerance():
     tight = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)
     f = _unit(GaussianPacket(center=-20.0, width=1.0, momentum=3.0), tight)
@@ -278,6 +292,8 @@ def test_tight_rule_node_economy():
 def test_energy_synthesis_node_economy(monkeypatch):
     # The synthesis integrand matches once per call, at all of its nodes:
     # 3744 nodes for 50 probes at the time of writing.
+    # The matching memo starts empty, so node arrays an earlier test left
+    # there cannot hide solves; its hits never reach tr._solve.
     f = build_test_function(MODEL, GaussianPacket(-20.0, 1.0, 3.0))
     amp = energy_transform(f, SignLabel.PLUS, SPEC)
     probes, reference = _probes(f)
@@ -287,10 +303,65 @@ def test_energy_synthesis_node_economy(monkeypatch):
         nodes.append(np.size(energies))
         return _solve(model, energies)
 
+    monkeypatch.setattr(tr, "_MATCHING_MEMO", {})
     monkeypatch.setattr(tr, "_solve", counting_solve)
     rebuilt = synthesize_energy(amp, probes, SPEC)
     assert np.max(np.abs(rebuilt - reference)) < RECONSTRUCTION_TOL
     assert sum(nodes) <= 5616
+
+
+def test_matching_memo_shares_read_only_solutions(monkeypatch):
+    monkeypatch.setattr(tr, "_MATCHING_MEMO", {})
+    energies = np.linspace(0.5, 40.0, 17)
+    sol = tr._matching(MODEL, energies)
+    assert tr._matching(MODEL, energies.copy()) is sol
+    assert not (sol.energy.flags.writeable or sol.t.flags.writeable
+                or sol.sc_l[0].flags.writeable)
+    with pytest.raises(ValueError):
+        sol.r_l[0] = 0.0
+    other = tr._matching(BarrierModel(v0=3.0), energies)
+    assert other is not sol
+    assert other.t.tobytes() != sol.t.tobytes()
+    for shift in range(2 * tr._MATCHING_ENTRIES):
+        tr._matching(MODEL, energies + shift)
+        assert len(tr._MATCHING_MEMO) <= tr._MATCHING_ENTRIES
+
+
+def test_amplitudes_unchanged_without_matching_memo(monkeypatch):
+    # Every reader of the memo returns the bits of a fresh solve.
+    f = _unit(GaussianPacket(-20.0, 1.0, 3.0))
+    g = _unit(GaussianPacket(-19.0, 1.5, -1.0))
+    amps = [energy_transform(f, sign, SPEC) for sign in SignLabel]
+    energies = np.linspace(0.05, 1500.0, 301)
+    probes = _probes(f)[0]
+
+    def outputs():
+        out = [a.amplitude(energies, c) for a in amps for c in Channel]
+        out += [synthesize_energy(a, probes, SPEC) for a in amps]
+        out += [spectral_probability(f, 0.0, math.inf, sign, SPEC)
+                for sign in SignLabel]
+        out.append(parseval_defect(f, g, "energy+", SPEC))
+        return [np.asarray(v).tobytes() for v in out]
+
+    memoized = outputs()
+    monkeypatch.setattr(tr, "_matching", _solve)
+    assert outputs() == memoized
+
+
+def test_panel_read_matches_chebval():
+    # Random complex panels, read inside, on every edge and outside the
+    # range, where the end panels' series are extrapolated.
+    rng = np.random.default_rng(5)
+    edges = np.cumsum(rng.uniform(0.1, 2.0, 9)) - 5.0
+    coeffs = (rng.standard_normal((8, tr._DEGREE + 1))
+              + 1j * rng.standard_normal((8, tr._DEGREE + 1)))
+    k = np.concatenate([rng.uniform(edges[0], edges[-1], 500), edges,
+                        [edges[0] - 0.3, edges[-1] + 0.3]])
+    idx = np.clip(np.searchsorted(edges, k, side="right") - 1, 0, 7)
+    a, b = edges[idx], edges[idx + 1]
+    t = (2.0 * k - (a + b)) / (b - a)
+    ref = np.polynomial.chebyshev.chebval(t, coeffs[idx].T, tensor=False)
+    assert tr._Panels(edges, coeffs)(k).tobytes() == ref.tobytes()
 
 
 def test_one_sided_packet_builds_one_cache(monkeypatch):

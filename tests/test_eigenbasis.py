@@ -164,3 +164,49 @@ def test_panel_waves_match_direct_contraction(lo, hi, origin, offsets, top):
     scale = np.abs(coef).sum(axis=-1, keepdims=True)
     assert got.shape == ref.shape
     assert np.all(np.abs(got - ref) <= 1e-14 * scale)
+
+
+def test_plane_wave_tables_mirror_exactly():
+    # _panel_waves forms its tables on |offset| and conjugates for the
+    # negative offsets; that is exact only because these hold bit for bit.
+    rng = np.random.default_rng(11)
+    phase = np.concatenate([rng.uniform(-1e3, 1e3, 4000),
+                            rng.standard_normal(1000), [0.0, np.pi, 7e5]])
+    assert _cis(-phase).tobytes() == np.conj(_cis(phase)).tobytes()
+    assert (-_GL_X[::-1]).tobytes() == _GL_X.tobytes()
+    assert (-_PARTS_X[2][::-1]).tobytes() == _PARTS_X[1].tobytes()
+
+
+def _unmirrored_panel_waves(coef, mid, half, offsets, freqs, origin):
+    """_panel_waves with each table formed at every offset."""
+    def rest(a, b, total):
+        b_part = total - a
+        return (a - (total - b_part)) + (b - b_part)
+
+    step = half[:, None] * offsets[..., None, :]
+    shift = mid - origin
+    resid = rest(mid, -origin, shift)[:, None] - rest(mid[:, None], step,
+                                                     mid[:, None] + step)
+    pair = np.stack(np.broadcast_arrays(coef, coef * resid))
+    sums = np.empty(pair.shape[:-1] + (freqs.size,), dtype=complex)
+    widths, group = np.unique(half, return_inverse=True)
+    for i, h in enumerate(widths.tolist()):
+        sel = group == i
+        sums[..., sel, :] = pair[..., sel, :] @ _cis(
+            (h * offsets)[..., None] * freqs)
+    out = sums[0]
+    out += 1j * freqs * sums[1]
+    out *= _cis(np.outer(shift, freqs))
+    return out
+
+
+@pytest.mark.parametrize("offsets", [_GL_X, _PARTS_X, _PARTS_X[1:]])
+def test_panel_waves_bit_identical_to_unmirrored(offsets):
+    rng = np.random.default_rng(7)
+    mid, half = _refined_panels(-3.0, 9.0)
+    freqs = rng.uniform(-60.0, 60.0, 37)
+    shape = (2,) + offsets.shape[:-1] + (mid.size, offsets.shape[-1])
+    coef = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    got = _panel_waves(coef, mid, half, offsets, freqs, 1.25)
+    ref = _unmirrored_panel_waves(coef, mid, half, offsets, freqs, 1.25)
+    assert got.tobytes() == ref.tobytes()
