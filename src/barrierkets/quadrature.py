@@ -9,14 +9,18 @@ their parts, and returns the parts' sums.  The integrals of this module use
 the pointwise evaluator _eval_panels, which samples an integrand at every
 node; the syntheses of the transforms pass one that contracts plane waves
 panel by panel.  Panel geometry, acceptance, refinement and the stall rule
-do not depend on the evaluator.  The starting
-panels span at most 48 rad at freq_hint, with at least four of them.  A
-panel whose halves disagree with it by more than half of an equal share of
-the target is replaced by its halves, whose values are already known, so
-a split costs the 64 nodes of the new halves' halves.  The panel count is
-capped by max_subdivisions, and a refinement whose error ratio has not
-halved while the panel count grew eightfold has stalled at a noise floor
-and gives up early; both raise AccuracyError carrying the best estimate.
+do not depend on the evaluator.  The starting panels span at most 48 rad
+at freq_hint, with at least four of them, and a caller may add break
+points as extra starting edges: the integrals of test functions break at
+the barrier steps, next to which a narrow peak of H^l f can otherwise fall
+between the nodes of a wide panel and of both its halves and be accepted
+unseen.  A panel whose halves disagree with it by more than half of an
+equal share of the target is replaced by its halves, whose values are
+already known, so a split costs the 64 nodes of the new halves' halves.
+The panel count is capped by max_subdivisions, and a refinement whose
+error ratio has not halved while the panel count grew eightfold has
+stalled at a noise floor and gives up early; both raise AccuracyError
+carrying the best estimate.
 
 The engine has two acceptance tests, one per kind of caller:
 
@@ -76,6 +80,7 @@ _MIN_PANELS = 4
 # evaluates every part; later rounds only the halves.
 _PARTS_X = np.stack([_GL_X, 0.5 * (_GL_X - 1.0), 0.5 * (_GL_X + 1.0)])
 _PART_WIDTH = np.array([1.0, 0.5, 0.5])
+_GL_W_COLUMN = _GL_W.reshape(-1, 1)
 # A refinement has stalled when the panel count has grown this many times
 # since some round without the error ratio halving.
 _STALL_GROWTH = 8
@@ -156,7 +161,11 @@ def _eval_panels(f, signed, mid, half, offsets, widths):
     if signed:
         fx = np.concatenate([fx, np.abs(fx)], axis=3)
     width = half[:, None] * widths
-    return np.tensordot(fx, _GL_W, axes=([2], [0])) * width[:, :, None], ncols
+    # The weighted sum over the nodes of each part, as one matrix product.
+    npan, nparts, nodes_, cols = fx.shape
+    sums = np.dot(fx.transpose(0, 1, 3, 2).reshape(npan * nparts * cols, nodes_),
+                  _GL_W_COLUMN).reshape(npan, nparts, cols)
+    return sums * width[:, :, None], ncols
 
 
 def _probe_columns(f, lo, hi):
@@ -170,7 +179,7 @@ def _probe_columns(f, lo, hi):
 
 
 def _adaptive(panels, lo, hi, abs_tol, rel_tol, max_panels, freq_hint,
-              signed=False):
+              signed=False, breaks=()):
     """The adaptive engine (see module docstring).
 
     panels is the panel evaluator: panels(mid, half, offsets, widths)
@@ -178,12 +187,23 @@ def _adaptive(panels, lo, hi, abs_tol, rel_tol, max_panels, freq_hint,
     _PARTS_X and _PART_WIDTH the round needs, and returns (sums, ncols), the
     integral of every part of every panel as (panels, parts, columns) and
     the batch width (see _eval_panels).  signed selects the acceptance test
-    of a spatial rule.  Returns (values (B,), errors (B,), a, b, ncols): the
+    of a spatial rule.  The break points inside (lo, hi) are added to the
+    starting edges.  Returns (values (B,), errors (B,), a, b, ncols): the
     sums over the panels' halves, their error estimates, the final panels
     [a, b] in ascending order, and the batch width read off the first round.
     """
     n0 = max(_MIN_PANELS, math.ceil((hi - lo) * freq_hint / _PANEL_PHASE))
-    edges = np.linspace(lo, hi, min(n0, max_panels // 2) + 1)
+    n0 = min(n0, max_panels // 2)
+    # The values of np.linspace(lo, hi, n0 + 1), formed without its overhead.
+    step = (hi - lo) / n0
+    if step == 0.0:
+        edges = np.linspace(lo, hi, n0 + 1)
+    else:
+        edges = np.arange(n0 + 1.0) * step + lo
+        edges[-1] = hi
+    inner = [x for x in breaks if lo < x < hi and x not in edges]
+    if inner:
+        edges = np.sort(np.concatenate([edges, inner]))
     a, b = edges[:-1], edges[1:]
     parts, ncols = panels(0.5 * (a + b), 0.5 * (b - a), _PARTS_X, _PART_WIDTH)
     nb = max(ncols, 1)
@@ -199,9 +219,11 @@ def _adaptive(panels, lo, hi, abs_tol, rel_tol, max_panels, freq_hint,
         else:
             tot_err = np.abs(diff).sum(axis=0)
             target = np.maximum(abs_tol, rel_tol * np.abs(total))
-        if np.all(tot_err <= target):
-            order = np.argsort(a, kind="stable")
-            return total, tot_err, a[order], b[order], ncols
+        if (tot_err <= target).all():
+            if history:  # split panels were appended out of order
+                order = np.argsort(a, kind="stable")
+                a, b = a[order], b[order]
+            return total, tot_err, a, b, ncols
         worst = float((tot_err / target).max())
         stalled = any(a.size >= _STALL_GROWTH * n and worst > 0.5 * w
                       for n, w in history)
@@ -235,14 +257,17 @@ def _adaptive(panels, lo, hi, abs_tol, rel_tol, max_panels, freq_hint,
         b = np.concatenate([b[~flag], new_b])
 
 
-def _run(f, lo, hi, spec, freq_hint):
+def _run(f, lo, hi, spec, freq_hint, breaks=()):
+    """Integrate f over [lo, hi] with the pointwise evaluator, with breaks
+    as extra starting edges; returns (values, errors, panels, ncols)."""
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError("integration limits must be finite")
     if hi <= lo:
         return np.zeros(1, dtype=complex), np.zeros(1), 0, 0
     vals, errs, a, _, ncols = _adaptive(partial(_eval_panels, f, False), lo,
                                         hi, spec.abs_tol, spec.rel_tol,
-                                        spec.max_subdivisions, freq_hint)
+                                        spec.max_subdivisions, freq_hint,
+                                        breaks=breaks)
     return vals, errs, a.size, ncols
 
 

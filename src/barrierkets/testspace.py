@@ -7,9 +7,9 @@ A function is a short tuple of blocks, one per envelope
 u = x - g, optionally clipped to the barrier interval [a, b] (the potential
 part of H does that).  a and b are the step positions and s the window
 sharpness, all taken from the model.  Each block holds one dense complex
-tensor C, and its value is
+tensor C, stored power-major, and its value is
 
-    sum over i, j, p of  C[i, j, p] * u^p * (x-a)^(-i) * (x-b)^(-j) * E(x).
+    sum over p, i, j of  C[p, i, j] * u^p * (x-a)^(-i) * (x-b)^(-j) * E(x).
 
 The windows pin the function and every one of its derivatives to zero at
 the steps, and the poles only ever sit under the window at the same point.
@@ -28,10 +28,20 @@ digits by derivative order three.  Keeping the two pole powers as tensor
 axes bounds every polynomial degree by the derivative order, at the price of
 a number of nonzero (i, j) rows that grows like the square of the order;
 evaluation contracts those rows as matrix products, one pass per block.
-Exponentially large and small factors are assembled in log space, so
-window-times-pole products near the steps neither overflow nor produce
-0 * inf.  Polynomials are stored in the shifted variable u = x - g of the
-Gaussian envelope, where they stay well conditioned over the support.
+With the powers on the leading axis, finding the nonzero rows and their
+scales reduces over that axis, and the gathered (powers, rows) slice is the
+matrix the contraction needs.  Exponentially large and small factors are
+assembled in log space, so window-times-pole products near the steps
+neither overflow nor produce 0 * inf.  Polynomials are stored in the
+shifted variable u = x - g of the Gaussian envelope, where they stay well
+conditioned over the support.
+
+Each block's rows are planned on first use, by the support bound or by an
+evaluation that has nodes on the block.  A clipped block is zero outside
+[a, b], and so are all its derivatives: its support counts only inside
+[a, b], a clipped block that a bound from its tensor's shape alone keeps
+away from [a, b] is never planned, and one is evaluated only when nodes
+fall inside [a, b].
 """
 
 from __future__ import annotations
@@ -44,7 +54,7 @@ import numpy as np
 
 from .errors import CapabilityError, DomainError
 from .model import BarrierModel, Observable
-from .quadrature import QuadratureSpec, integrate_line
+from .quadrature import QuadratureSpec, _run
 
 __all__ = [
     "TestFunction",
@@ -80,7 +90,7 @@ class _Block(NamedTuple):
     clipped: bool      # restricted to [a, b]
     phase: float       # q in e^{iqx}
     gauss: tuple       # (g, w): center and width of the Gaussian
-    coef: np.ndarray   # C[i, j, p], complex
+    coef: np.ndarray   # C[p, i, j], complex
 
 
 class _Rows(NamedTuple):
@@ -122,51 +132,70 @@ def _collect(blocks) -> tuple:
 
 
 def _derivative(blk: _Block, s: float) -> _Block:
-    """d/dx of one block: the seven shifted adds of the product rule."""
+    """d/dx of one block: the seven shifted adds of the product rule.
+
+    C is copied into the shape of the result, padded with one power and
+    three pole powers of zeros, so each shift is a shift of the flat
+    array.  What wraps round from the padding is a zero, and adding a zero
+    leaves every sum's bits as they are.
+    """
     c = blk.coef
-    ni, nj, npow = c.shape
+    npow, ni, nj = c.shape
     w = blk.gauss[1]
-    i = np.arange(ni)[:, None, None]
-    j = np.arange(nj)[None, :, None]
-    d = np.zeros((ni + 3, nj + 3, npow + 1), dtype=complex)
-    d[:ni, :nj, :npow - 1] += c[:, :, 1:] * np.arange(1, npow)  # u^p
-    d[1:ni + 1, :nj, :npow] -= i * c                    # (x-a)^-i
-    d[:ni, 1:nj + 1, :npow] -= j * c                    # (x-b)^-j
-    d[:ni, :nj, :npow] += 1j * blk.phase * c            # e^{iqx}
-    d[:ni, :nj, 1:] += (-2.0 / w**2) * c                # e^{-(u/w)^2}
-    d[3:, :nj, :npow] += 2.0 * s * s * c                # window at a
-    d[:ni, 3:, :npow] += 2.0 * s * s * c                # window at b
-    return blk._replace(coef=d)
+    shape = (npow + 1, ni + 3, nj + 3)
+    cp = np.zeros(shape, dtype=complex)
+    cp[:npow, :ni, :nj] = c
+    d = np.zeros(cp.size, dtype=complex)
+    t = np.empty(shape, dtype=complex)
+    flat, tf = cp.ravel(), t.ravel()
+    sp, si = shape[1] * shape[2], shape[2]  # flat steps of p and of i
+    np.multiply(cp, np.arange(shape[0])[:, None, None], out=t)
+    d[:-sp] += tf[sp:]                                  # u^p
+    np.multiply(cp, np.arange(shape[1])[:, None], out=t)
+    d[si:] -= tf[:-si]                                  # (x-a)^-i
+    np.multiply(cp, np.arange(shape[2]), out=t)
+    d[1:] -= tf[:-1]                                    # (x-b)^-j
+    np.multiply(1j * blk.phase, flat, out=tf)
+    d += tf                                             # e^{iqx}
+    np.multiply(-2.0 / w**2, flat, out=tf)
+    d[sp:] += tf[:-sp]                                  # e^{-(u/w)^2}
+    np.multiply(2.0 * s * s, flat, out=tf)
+    d[3 * si:] += tf[:-3 * si]                          # window at a
+    d[3:] += tf[:-3]                                    # window at b
+    return blk._replace(coef=d.reshape(shape))
 
 
 def _times_x(blk: _Block) -> _Block:
     """x = u + g times one block: a shift in p plus g * C."""
     c = blk.coef
-    d = np.zeros(c.shape[:2] + (c.shape[2] + 1,), dtype=complex)
-    d[:, :, 1:] += c
-    d[:, :, :-1] += blk.gauss[0] * c
+    d = np.zeros((c.shape[0] + 1,) + c.shape[1:], dtype=complex)
+    d[1:] += c
+    d[:-1] += blk.gauss[0] * c
     return blk._replace(coef=d)
 
 
 def _rows(blk: _Block) -> _Rows:
     c = blk.coef
-    ni, nj, npow = c.shape
-    scale = np.abs(c).max(axis=2)
-    ii, jj = np.nonzero(scale)
+    npow = c.shape[0]
+    ii, jj = np.nonzero(c.any(axis=0))
     parity = 2 * (jj & 1) + ((ii ^ jj) & 1)
     order = np.argsort(parity, kind="stable")
     ii, jj = ii[order], jj[order]
     bounds = np.searchsorted(parity[order], [1, 2, 3])
-    s = scale[ii, jj]
-    coef = c[ii, jj]
-    deg = npow - 1 - np.argmax(coef[:, ::-1] != 0.0, axis=1)
+    coef = c[:, ii, jj]  # (powers, rows)
+    s = np.abs(coef).max(axis=0)
+    deg = npow - 1 - np.argmax(coef[::-1] != 0.0, axis=0)
     log_scale = np.log(s)
-    expo = np.column_stack([log_scale, np.ones(ii.size), -ii, -jj])
-    if not (ii.any() or jj.any()):
-        expo = expo[:, :2]  # no poles: their logs are never needed
+    poles = ii.any() or jj.any()  # without poles their logs are never needed
+    expo = np.empty((ii.size, 4 if poles else 2))
+    expo[:, 0] = log_scale
+    expo[:, 1] = 1.0
+    if poles:
+        expo[:, 2] = -ii
+        expo[:, 3] = -jj
     # Real divisions: a complex one overflows for a subnormal scale.
     return _Rows(ii, jj, deg, log_scale, expo,
-                 np.concatenate([coef.real.T, coef.imag.T]) / s,
+                 np.concatenate([coef.real, coef.imag]) / s,
                  slice(bounds[0], bounds[2]), slice(bounds[1], ii.size))
 
 
@@ -176,40 +205,79 @@ def _block_values(blk: _Block, rows: _Rows, model: BarrierModel,
 
     The magnitude of each row's pole-times-envelope factor is one matrix
     product in log space and one real exp; its sign is (-1)^i left of a
-    times (-1)^j left of b.  At a step the value is zero by rule, and so it
-    is _FAR_WIDTHS widths from the center, where the squares below would
-    overflow.
+    times (-1)^j left of b.  When a chunk of nodes lies on one side of each
+    step, those signs are the same for every node, and they flip columns of
+    the polynomial matrix instead of rows of the magnitudes.  At a step the
+    value is zero by rule, and so it is _FAR_WIDTHS widths from the center,
+    where the squares below would overflow; the masks that handle such
+    nodes are built only for a chunk that holds one.
     """
     g, w = blk.gauss
+    a, b = model.a, model.b
+    far_u = _FAR_WIDTHS * w
     s2 = (WINDOW_SHARPNESS_FRACTION * model.width) ** 2
     npow = rows.poly.shape[0] // 2
+    odd_i, odd_j = rows.odd_i, rows.odd_j
+    # Rows whose sign flips left of a (i + j odd) and inside (j odd).
+    flips_left = (slice(odd_i.start, odd_j.start), slice(odd_i.stop, None))
     out = np.empty(x.size, dtype=complex)
     step = _EVAL_CHUNK // max(rows.i.size, 32)
     for lo in range(0, x.size, step):
         xc = x[lo:lo + step]
-        far = np.abs(xc - g) > _FAR_WIDTHS * w
-        if far.any():
-            xc = np.where(far, g, xc)
-        da = xc - model.a
-        db = xc - model.b
-        dead = (da == 0.0) | (db == 0.0)
-        da[dead] = 1.0
-        db[dead] = 1.0
+        x_lo, x_hi = xc.min(), xc.max()
+        u = xc - g
+        da = xc - a
+        db = xc - b
+        if x_hi < a:
+            flips = flips_left
+        elif x_lo > b:
+            flips = ()
+        elif a < x_lo and x_hi < b:
+            flips = (odd_j,)
+        else:
+            flips = None  # the nodes straddle or touch a step
+        far = dead = None
+        # x - g is monotone in x, so the extremes decide whether any node
+        # is far; da * db is 0 on a step (or where it underflows, which the
+        # masks then handle exactly).
+        if max(x_hi - g, g - x_lo) > far_u or (
+                flips is None and not (da * db).all()):
+            far = np.abs(u) > far_u
+            if far.any():
+                xc = np.where(far, g, xc)
+                u = xc - g
+                da = xc - a
+                db = xc - b
+            dead = (da == 0.0) | (db == 0.0)
+            da[dead] = 1.0
+            db[dead] = 1.0
+            flips = None
         logs = np.empty((rows.expo.shape[1], xc.size))
         logs[0] = 1.0
-        logs[1] = -s2 / (da * da) - s2 / (db * db) - ((xc - g) / w) ** 2
-        logs[1, dead] = -np.inf
+        # log E = -s2/da^2 - s2/db^2 - (u/w)^2, formed in place.
+        e, tmp = logs[1], np.empty(xc.size)
+        np.divide(-s2, np.multiply(da, da, out=e), out=e)
+        e -= np.divide(s2, np.multiply(db, db, out=tmp), out=tmp)
+        e -= np.square(np.divide(u, w, out=tmp), out=tmp)
+        if dead is not None:
+            e[dead] = -np.inf
         if logs.shape[0] == 4:
-            np.log(np.abs(da), out=logs[2])
-            np.log(np.abs(db), out=logs[3])
+            np.log(np.abs(da, out=tmp), out=logs[2])
+            np.log(np.abs(db, out=tmp), out=logs[3])
         mag = np.exp(rows.expo @ logs)
-        if rows.odd_i.stop > rows.odd_i.start:
-            mag[rows.odd_i] *= np.sign(da)
-        if rows.odd_j.stop > rows.odd_j.start:
-            mag[rows.odd_j] *= np.sign(db)
+        poly = rows.poly
+        if flips is None:
+            if odd_i.stop > odd_i.start:
+                mag[odd_i] *= np.sign(da)
+            if odd_j.stop > odd_j.start:
+                mag[odd_j] *= np.sign(db)
+        elif flips:
+            # -p * m is -(p * m) exactly, so the products are unchanged.
+            poly = poly.copy(order="K")  # same layout, same BLAS path
+            for sl in flips:
+                poly[:, sl] *= -1.0
         # Coefficient of u^p at each point, real and imaginary parts.
-        by_power = np.dot(rows.poly, mag).reshape(2, npow, xc.size)
-        u = xc - g
+        by_power = np.dot(poly, mag).reshape(2, npow, xc.size)
         acc = by_power[:, -1].copy()
         for p in range(npow - 2, -1, -1):
             acc *= u
@@ -219,7 +287,8 @@ def _block_values(blk: _Block, rows: _Rows, model: BarrierModel,
         vals.imag = acc[1]
         if blk.phase:
             vals *= np.exp(1j * (blk.phase * xc))
-        vals[far] = 0.0
+        if far is not None:
+            vals[far] = 0.0
     return out
 
 
@@ -228,11 +297,11 @@ class TestFunction:
 
     `terms` is a tuple of blocks, one per envelope (phase q, Gaussian
     `gauss` = (center, width), and whether it is clipped to the barrier),
-    each carrying the coefficient tensor C[i, j, p] of the module docstring.
+    each carrying the coefficient tensor C[p, i, j] of the module docstring.
     Treat instances as immutable.  Derivatives and the images under Q, P
     and H are cached as chains, so repeated evaluation at increasing order,
     and seminorms whose operator words share a prefix, repeat no symbolic
-    work; the nonzero rows each evaluation contracts are found once.  The
+    work; each block's nonzero rows are found once, on first use.  The
     support interval per radius and the self inner product (f, f) per
     QuadratureSpec are kept too, so a norm asked for again integrates
     nothing.
@@ -265,17 +334,22 @@ class TestFunction:
     def max_phase(self) -> float:
         return max((abs(b.phase) for b in self.terms), default=0.0)
 
-    def _block_rows(self) -> tuple:
+    def _block_rows(self, k: int) -> _Rows:
+        """The row plan of block k, made on first use."""
         if self._plan is None:
-            self._plan = tuple(_rows(b) for b in self.terms)
-        return self._plan
+            self._plan = [None] * len(self.terms)
+        rows = self._plan[k]
+        if rows is None:
+            rows = self._plan[k] = _rows(self.terms[k])
+        return rows
 
     def support_interval(self, radius: float) -> tuple[float, float]:
         """Interval certified to contain all of |f| above 1e-18 relative.
 
         The bound takes each nonzero row on its own and accounts for
         polynomial growth up to |x| = radius and for the worst windowed-pole
-        amplification, so it stays valid for high derivatives.
+        amplification, so it stays valid for high derivatives.  A block
+        clipped to [a, b] counts only inside [a, b].
         """
         interval = self._supports.get(radius)
         if interval is None:
@@ -285,20 +359,44 @@ class TestFunction:
     def _support_bound(self, radius: float) -> tuple[float, float]:
         lo = math.inf
         hi = -math.inf
+        a, b = self.model.a, self.model.b
         s = WINDOW_SHARPNESS_FRACTION * self.model.width
-        for blk, rows in zip(self.terms, self._block_rows()):
+        for k, blk in enumerate(self.terms):
+            g, w = blk.gauss
+            npow, ni, nj = blk.coef.shape
+            # max over x of |x-pos|^-p e^{-s^2/(x-pos)^2}, per pole power p
+            power = np.arange(max(ni, nj))
+            pole = 0.5 * power * np.log1p(power / (2.0 * math.e * s * s))
+            growth = math.log(2.0 + radius + abs(g))
+            if blk.clipped:
+                # The top power, the top pole powers and the largest |C|
+                # (at most sqrt(2) times the largest |real or imaginary
+                # part|) bound every row's margin below; one more unit
+                # covers rounding.  A clipped block out of [a, b]'s reach
+                # is skipped before its rows are planned.
+                top = np.abs(blk.coef.view(float)).max() * math.sqrt(2.0)
+                margin = (_SUPPORT_CUTOFF_LOG + 1.0 + math.log(npow)
+                          + (npow - 1) * growth + math.log(max(top, 1.0))
+                          + pole[ni - 1] + pole[nj - 1])
+                reach = w * math.sqrt(margin)
+                if g + reach < a or g - reach > b:
+                    continue
+            rows = self._block_rows(k)
             if rows.i.size == 0:
                 continue
-            g, w = blk.gauss
             margin = _SUPPORT_CUTOFF_LOG + np.log(rows.deg + 1.0)
-            margin += rows.deg * math.log(2.0 + radius + abs(g))
+            margin += rows.deg * growth
             margin += np.maximum(0.0, rows.log_scale)
-            # max over x of |x-pos|^-i e^{-s^2/(x-pos)^2}
-            for power in (rows.i, rows.j):
-                margin += 0.5 * power * np.log1p(power / (2.0 * math.e * s * s))
+            margin += pole[rows.i]
+            margin += pole[rows.j]
             delta = w * math.sqrt(float(margin.max()))
-            lo = min(lo, g - delta)
-            hi = max(hi, g + delta)
+            b_lo, b_hi = g - delta, g + delta
+            if blk.clipped:
+                b_lo, b_hi = max(b_lo, a), min(b_hi, b)
+                if b_lo > b_hi:
+                    continue
+            lo = min(lo, b_lo)
+            hi = max(hi, b_hi)
         if lo > hi:
             return (0.0, 0.0)
         return (lo, hi)
@@ -309,12 +407,14 @@ class TestFunction:
             f = f.derivative()
         model = f.model
         total = np.zeros(x.shape, dtype=complex)
-        for blk, rows in zip(f.terms, f._block_rows()):
+        for k, blk in enumerate(f.terms):
             if blk.clipped:
                 inside = np.flatnonzero((x >= model.a) & (x <= model.b))
-                total[inside] += _block_values(blk, rows, model, x[inside])
+                if inside.size:
+                    total[inside] += _block_values(blk, f._block_rows(k),
+                                                   model, x[inside])
             else:
-                total += _block_values(blk, rows, model, x)
+                total += _block_values(blk, f._block_rows(k), model, x)
         return total
 
     def __call__(self, x, n: int = 0):
@@ -419,8 +519,8 @@ def build_test_function(model: BarrierModel, packet: GaussianPacket) -> TestFunc
     if packet.poly_degree < 0:
         raise DomainError("poly_degree must be >= 0")
     # (x - center)^degree is u^degree in the block's shifted variable.
-    coef = np.zeros((1, 1, packet.poly_degree + 1), dtype=complex)
-    coef[0, 0, -1] = 1.0
+    coef = np.zeros((packet.poly_degree + 1, 1, 1), dtype=complex)
+    coef[-1, 0, 0] = 1.0
     block = _Block(clipped=False, phase=packet.momentum / model.hbar,
                    gauss=(packet.center, packet.width), coef=coef)
     return TestFunction(model, (block,))
@@ -476,16 +576,18 @@ def inner_product(f: TestFunction, g: TestFunction, spec: QuadratureSpec) -> com
 
 
 def _overlap(f: TestFunction, g: TestFunction, spec: QuadratureSpec) -> complex:
-    """Integral of conj(f) g over the intersection of the two supports."""
-    lo_f, hi_f = _support(f, spec)
-    lo_g, hi_g = _support(g, spec)
-    lo, hi = max(lo_f, lo_g), min(hi_f, hi_g)
+    """Integral of conj(f) g over the intersection of the two supports,
+    with the steps as starting panel edges."""
+    lo, hi = _support(f, spec)
+    if g is not f:
+        lo_g, hi_g = _support(g, spec)
+        lo, hi = max(lo, lo_g), min(hi, hi_g)
     if hi <= lo:
         return 0j
     hint = f.max_phase() + g.max_phase()
-    res = integrate_line(lambda x: _product(f, g, x),
-                         spec, lo=lo, hi=hi, freq_hint=hint)
-    return res.value
+    vals, _, _, _ = _run(lambda x: _product(f, g, x), lo, hi, spec, hint,
+                         (f.model.a, f.model.b))
+    return complex(vals[0])
 
 
 def seminorm(f: TestFunction, n: int, m: int, l: int, spec: QuadratureSpec) -> float:

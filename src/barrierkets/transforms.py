@@ -144,6 +144,7 @@ from .quadrature import (
     QuadratureSpec,
     _adaptive,
     _eval_panels,
+    _run,
     integrate_energy,
     integrate_energy_batch,
     integrate_line,
@@ -827,6 +828,8 @@ def synthesize_energy(amp: EnergyAmplitude, x, spec: QuadratureSpec,
     """
     model = amp.model
     x_arr = _positions(x)
+    if not x_arr.size:
+        return np.zeros(x_arr.shape, dtype=complex)
     left, right = x_arr < model.a, x_arr > model.b
     mid = ~(left | right)
     jac = model.hbar ** 2 / model.mass
@@ -899,6 +902,8 @@ def synthesize_momentum(amp: MomentumAmplitude, x, spec: QuadratureSpec):
     """Inverse plane-wave transform at x (scalar or array)."""
     hbar = amp.hbar
     x_arr = _positions(x)
+    if not x_arr.size:
+        return np.zeros(x_arr.shape, dtype=complex)
     scale = 1.0 / math.sqrt(2.0 * math.pi * hbar)
 
     def sample(p):
@@ -926,9 +931,9 @@ def _position_overlap(f: TestFunction, g: TestFunction, spec: QuadratureSpec,
         w = x ** weight_power if weight_power else 1.0
         return _product(f, g, x) * w
 
-    res = integrate_line(integrand, spec, lo=lo, hi=hi,
-                         freq_hint=f.max_phase() + g.max_phase())
-    return res.value
+    vals, _, _, _ = _run(integrand, lo, hi, spec,
+                         f.max_phase() + g.max_phase(), (f.model.a, f.model.b))
+    return complex(vals[0])
 
 
 def _momentum_overlap(f: TestFunction, g: TestFunction, spec: QuadratureSpec,

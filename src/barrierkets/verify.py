@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import CapabilityError, DomainError
 from .model import BarrierModel, Observable
-from .quadrature import QuadratureSpec, integrate_energy_batch, integrate_line, \
-    integrate_line_batch
+from .quadrature import QuadratureSpec, _run, integrate_energy_batch, \
+    integrate_line, integrate_line_batch
 from .scattering import Channel, SignLabel, _solve
 from .eigenbasis import _wave_grid
 from .testspace import (
@@ -188,11 +188,9 @@ def check_eigenbra_conjugation(model: BarrierModel, energy: float,
             rows = _wave_grid(model, sol, channel, sign, x)
             return np.conj(evaluate(f, x)) * rows[0]
 
-        if hi > lo:
-            bra = integrate_line(bra_integrand, spec, lo=lo, hi=hi,
-                                 freq_hint=k + f.max_phase()).value
-        else:
-            bra = 0j
+        vals, _, _, _ = _run(bra_integrand, lo, hi, spec, k + f.max_phase(),
+                             (model.a, model.b))
+        bra = complex(vals[0])
         nf = seminorm(f, 0, 0, 0, spec)
         conj_resid = abs(bra - np.conj(amp))
         conj_resid = conj_resid / nf if nf > 0.0 else conj_resid

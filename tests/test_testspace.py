@@ -27,7 +27,7 @@ from barrierkets import (
     seminorm,
     slow_decay_example,
 )
-from barrierkets import testspace as ts
+from barrierkets import quadrature, testspace as ts
 from barrierkets import transforms as tr
 from oracles import hermite_gauss_norm_sq, mp_derivative, packet_expression, \
     quad_complex
@@ -268,23 +268,24 @@ def test_non_member_is_refused_with_a_typed_error(call):
         call(slow_decay_example(MODEL))
 
 
-def _count_work(monkeypatch, module=ts):
+def _count_work(monkeypatch):
     """Record each evaluate call as (function, points), and the points of
-    every integrand call that module's integrate_line makes."""
+    every integrand call the quadrature engine makes."""
     calls, nodes = [], []
 
     def counting_evaluate(f, x, n=0):
         calls.append((f, np.size(x)))
         return evaluate(f, x, n)
 
-    def counting_integrate(integrand, *args, **kwargs):
+    def counting_panels(f, *args):
         def counted(x):
             nodes.append(np.size(x))
-            return integrand(x)
-        return integrate_line(counted, *args, **kwargs)
+            return f(x)
+        return eval_panels(counted, *args)
 
+    eval_panels = quadrature._eval_panels
     monkeypatch.setattr(ts, "evaluate", counting_evaluate)
-    monkeypatch.setattr(module, "integrate_line", counting_integrate)
+    monkeypatch.setattr(quadrature, "_eval_panels", counting_panels)
     return calls, nodes
 
 
@@ -301,7 +302,7 @@ def test_seminorm_samples_its_image_once_per_node(monkeypatch):
 
 def test_position_overlap_samples_f_once_per_node(monkeypatch):
     f = build_test_function(MODEL, GATE_PACKET)
-    calls, nodes = _count_work(monkeypatch, tr)
+    calls, nodes = _count_work(monkeypatch)
     tr._position_overlap(f, f, SPEC, weight_power=2)
     assert all(g is f for g, _ in calls)
     assert sum(points for _, points in calls) == sum(nodes) > 0
@@ -350,3 +351,78 @@ def test_c09_table_matches_two_sample_reference():
             lo=max(lo, -radius), hi=min(hi, radius),
             freq_hint=2.0 * g.max_phase()).value
         assert seminorm(f, n, m, l, SPEC) == math.sqrt(max(ref.real, 0.0))
+
+
+def _dense_split(g):
+    """Integral of |g|^2 over g's support by a composite 24-point
+    Gauss-Legendre rule, about 2000 nodes per unit length, cut at a and b."""
+    x24, w24 = np.polynomial.legendre.leggauss(24)
+    lo, hi = g.support_interval(SPEC.spatial_radius)
+    cuts = [lo] + [p for p in (MODEL.a, MODEL.b) if lo < p < hi] + [hi]
+    total = 0.0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        n = math.ceil((b - a) * 2000 / 24)
+        half = 0.5 * (b - a) / n
+        mid = a + 2.0 * half * (np.arange(n) + 0.5)
+        v = evaluate(g, (mid[:, None] + half * x24).ravel())
+        total += half * float(np.sum((np.abs(v) ** 2).reshape(n, 24) @ w24))
+    return total
+
+
+# Seminorms of real width-w packets whose image H^l f peaks next to a step.
+# Integrated as one interval, ||H^4 f||^2 of the packets at -6 and 7 came
+# out 2538668.7351 against 2538669.0358, 1184 times its target off, and
+# those at -5 and 6 three times; the others are the next worst cases of
+# the sweep over centres -6 to 7, widths 0.5, 1 and 2 and l = 0 to 6.
+@pytest.mark.parametrize("center, width, l", [
+    (-6.0, 1.0, 4), (7.0, 1.0, 4), (-5.0, 1.0, 4), (6.0, 1.0, 4),
+    (-5.5, 1.0, 3), (6.5, 1.0, 3), (-6.0, 2.0, 0), (-3.0, 1.0, 1),
+    (-3.0, 0.5, 4)])
+def test_seminorms_next_to_a_step_meet_their_target(center, width, l):
+    f = build_test_function(MODEL, GaussianPacket(center=center, width=width))
+    g = f
+    for _ in range(l):
+        g = apply_observable(Observable.H, g)
+    ref = _dense_split(g)
+    value = seminorm(f, 0, 0, l, SPEC) ** 2
+    assert abs(value - ref) <= max(SPEC.abs_tol, SPEC.rel_tol * ref)
+
+
+def test_clipped_blocks_out_of_reach_are_neither_planned_nor_sampled(
+        monkeypatch):
+    hf = apply_observable(Observable.H, build_test_function(MODEL, GATE_PACKET))
+    image = apply_observable(Observable.H, apply_observable(Observable.H, hf))
+    assert [b.clipped for b in image.terms] == [False, True]
+    planned, sampled = [], []
+    rows, block_values = ts._rows, ts._block_values
+
+    def counting_rows(blk):
+        planned.append(blk.clipped)
+        return rows(blk)
+
+    def counting_block_values(blk, *args):
+        sampled.append(blk.clipped)
+        return block_values(blk, *args)
+
+    monkeypatch.setattr(ts, "_rows", counting_rows)
+    monkeypatch.setattr(ts, "_block_values", counting_block_values)
+    assert seminorm(hf, 0, 0, 2, SPEC) > 0.0
+    assert planned == sampled == [False]
+
+
+def test_support_interval_of_hf_brackets_its_mass_inside_the_barrier():
+    hf = apply_observable(Observable.H, build_test_function(
+        MODEL, GaussianPacket(center=0.5, width=1.0)))
+    lo, hi = hf.support_interval(SPEC.spatial_radius)
+    assert lo < MODEL.a and MODEL.b < hi
+    # Dense mass of |Hf|^2 on [-10, 11], and the part outside [lo, hi].
+    x24, w24 = np.polynomial.legendre.leggauss(24)
+    edges = np.linspace(-10.0, 11.0, 2101)
+    half = 0.5 * np.diff(edges)
+    x = (0.5 * (edges[1:] + edges[:-1])[:, None] + half[:, None] * x24).ravel()
+    dens = (np.abs(evaluate(hf, x)) ** 2 * np.tile(w24, half.size)
+            * np.repeat(half, 24))
+    outside = (x < lo) | (x > hi)
+    assert dens[outside].sum() < 1e-30 * dens.sum()
+    assert abs(evaluate(hf, hi + 0.5)) < 1e-15
+    assert abs(evaluate(hf, lo - 0.5)) < 1e-15

@@ -159,6 +159,17 @@ def test_synthesize_momentum_entry_point(f):
     assert abs(val - complex(evaluate(f, x0))) < 1e-8
 
 
+def test_energy_synthesis_of_no_positions_is_empty(amp):
+    out = synthesize_energy(amp, np.array([]), SPEC)
+    assert out.shape == (0,) and out.dtype == complex
+
+
+def test_momentum_synthesis_of_no_positions_is_empty(f):
+    amp_p = momentum_transform(f, "analysis", SPEC)
+    out = synthesize_momentum(amp_p, np.array([]), SPEC)
+    assert out.shape == (0,) and out.dtype == complex
+
+
 def test_uncertainty_product_is_minimal():
     plain = build_test_function(MODEL, GaussianPacket(center=-20.0, width=1.0))
     q_mean, q_spread = expectation_uncertainty(Observable.Q, plain, SPEC)
