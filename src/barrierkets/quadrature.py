@@ -162,10 +162,9 @@ def _eval_panels(f, signed, mid, half, offsets, widths):
         fx = np.concatenate([fx, np.abs(fx)], axis=3)
     width = half[:, None] * widths
     # The weighted sum over the nodes of each part, as one matrix product.
-    npan, nparts, nodes_, cols = fx.shape
-    sums = np.dot(fx.transpose(0, 1, 3, 2).reshape(npan * nparts * cols, nodes_),
-                  _GL_W_COLUMN).reshape(npan, nparts, cols)
-    return sums * width[:, :, None], ncols
+    npan, nparts, npts, cols = fx.shape
+    sums = np.dot(fx.transpose(0, 1, 3, 2).reshape(-1, npts), _GL_W_COLUMN)
+    return sums.reshape(npan, nparts, cols) * width[:, :, None], ncols
 
 
 def _probe_columns(f, lo, hi):

@@ -426,3 +426,6 @@ def test_support_interval_of_hf_brackets_its_mass_inside_the_barrier():
     assert dens[outside].sum() < 1e-30 * dens.sum()
     assert abs(evaluate(hf, hi + 0.5)) < 1e-15
     assert abs(evaluate(hf, lo - 0.5)) < 1e-15
+    # The clipped block v0 f alone is certified on [a, b] exactly.
+    clipped = ts.TestFunction(MODEL, [b for b in hf.terms if b.clipped])
+    assert clipped.support_interval(SPEC.spatial_radius) == (MODEL.a, MODEL.b)
