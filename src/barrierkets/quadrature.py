@@ -42,10 +42,17 @@ The engine has two acceptance tests, one per kind of caller:
 All decisions are pure float comparisons on deterministically ordered
 arrays, so repeated runs produce bit-identical results.
 
-Integrands receive a 1-d float64 array of abscissae and must return either a
-matching 1-d array (scalar integrand) or a 2-d array with one row per
-abscissa (batched integrand, integrated component-wise over a shared panel
-set).
+There is one entry point per measure: integrate_line over x and
+integrate_energy over the spectrum.  An integrand receives a 1-d float64
+array of n abscissae and returns either a matching 1-d array or an (n, B)
+array, whose B columns are integrated component-wise over one shared panel
+set.  The result has the shape the integrand gave: value and error are a
+complex and a float for a 1-d integrand, (B,) arrays for an (n, B) one.
+An empty interval (hi <= lo) integrates to QuadratureResult(0j, 0.0, 0)
+without calling the integrand, whatever shape it would have returned.
+integrate_line_batch and integrate_energy_batch are the same functions
+under the names the batched integrals had, kept because the benchmark's
+tracer wraps the package's integrals by those names.
 """
 
 from __future__ import annotations
@@ -54,6 +61,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -133,8 +141,10 @@ class QuadratureSpec:
         return cls.from_dict(json.loads(text))
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
+    """An integral, its certified error and the final panel count; value
+    and error are (B,) arrays for an (n, B) integrand."""
+
     value: complex
     error: float
     panels: int
@@ -167,30 +177,21 @@ def _eval_panels(f, signed, mid, half, offsets, widths):
     return sums.reshape(npan, nparts, cols) * width[:, :, None], ncols
 
 
-def _probe_columns(f, lo, hi):
-    """Number of batch columns the integrand produces (0 means scalar)."""
-    probe = np.asarray(f(np.array([lo + 0.5 * (hi - lo)])))
-    if probe.ndim == 1:
-        return 0
-    if probe.ndim == 2 and probe.shape[0] == 1:
-        return probe.shape[1]
-    raise DomainError(f"integrand must return 1-d or (n, batch) arrays, got shape {probe.shape}")
-
-
-def _adaptive(panels, lo, hi, abs_tol, rel_tol, max_panels, freq_hint,
-              signed=False, breaks=()):
+def _adaptive(panels, lo, hi, spec, freq_hint, signed=False, breaks=()):
     """The adaptive engine (see module docstring).
 
     panels is the panel evaluator: panels(mid, half, offsets, widths)
     receives one round's panel middles and half-widths and the rows of
     _PARTS_X and _PART_WIDTH the round needs, and returns (sums, ncols), the
     integral of every part of every panel as (panels, parts, columns) and
-    the batch width (see _eval_panels).  signed selects the acceptance test
-    of a spatial rule.  The break points inside (lo, hi) are added to the
+    the batch width (see _eval_panels).  spec gives the tolerances and the
+    panel cap, max_subdivisions.  signed selects the acceptance test of a
+    spatial rule.  The break points inside (lo, hi) are added to the
     starting edges.  Returns (values (B,), errors (B,), a, b, ncols): the
     sums over the panels' halves, their error estimates, the final panels
     [a, b] in ascending order, and the batch width read off the first round.
     """
+    abs_tol, rel_tol, max_panels = spec.abs_tol, spec.rel_tol, spec.max_subdivisions
     n0 = max(_MIN_PANELS, math.ceil((hi - lo) * freq_hint / _PANEL_PHASE))
     n0 = min(n0, max_panels // 2)
     # The values of np.linspace(lo, hi, n0 + 1), formed without its overhead.
@@ -258,53 +259,32 @@ def _adaptive(panels, lo, hi, abs_tol, rel_tol, max_panels, freq_hint,
 
 def _run(f, lo, hi, spec, freq_hint, breaks=()):
     """Integrate f over [lo, hi] with the pointwise evaluator, with breaks
-    as extra starting edges; returns (values, errors, panels, ncols)."""
+    as extra starting edges."""
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError("integration limits must be finite")
     if hi <= lo:
-        return np.zeros(1, dtype=complex), np.zeros(1), 0, 0
+        return QuadratureResult(0j, 0.0, 0)
     vals, errs, a, _, ncols = _adaptive(partial(_eval_panels, f, False), lo,
-                                        hi, spec.abs_tol, spec.rel_tol,
-                                        spec.max_subdivisions, freq_hint,
-                                        breaks=breaks)
-    return vals, errs, a.size, ncols
+                                        hi, spec, freq_hint, breaks=breaks)
+    if ncols:
+        return QuadratureResult(vals, errs, a.size)
+    return QuadratureResult(complex(vals[0]), float(errs[0]), a.size)
 
 
 def integrate_line(f, spec: QuadratureSpec, lo: float | None = None, hi: float | None = None,
                    freq_hint: float = 0.0) -> QuadratureResult:
-    """Integrate a scalar complex integrand over a spatial interval.
+    """Integrate a complex integrand, 1-d or (n, B), over a spatial interval.
 
     The interval defaults to [-spatial_radius, +spatial_radius].  freq_hint
     is the fastest oscillation rate of the integrand in rad per unit length;
     it sets the initial panel density so the error estimator never sees an
-    aliased view of the integrand.
+    aliased view of the integrand.  The columns of an (n, B) integrand share
+    one panel set, refined until every column meets the tolerance; a few
+    hundred columns keep the working set in cache.
     """
     lo = -spec.spatial_radius if lo is None else lo
     hi = spec.spatial_radius if hi is None else hi
-    vals, errs, panels, ncols = _run(f, lo, hi, spec, freq_hint)
-    if ncols:
-        raise DomainError("integrate_line expects a scalar integrand; use the batch variant")
-    return QuadratureResult(value=complex(vals[0]), error=float(errs[0]), panels=panels)
-
-
-def integrate_line_batch(f, spec: QuadratureSpec, lo: float | None = None,
-                         hi: float | None = None, freq_hint: float = 0.0):
-    """Batched companion of integrate_line.
-
-    The integrand maps n abscissae to an (n, B) array; all components share
-    one panel set, refined until every component meets the tolerance.
-    Returns (values (B,), errors (B,), panels).  Batch width is the caller's
-    concern; a few hundred columns keeps the working set in cache.
-    """
-    lo = -spec.spatial_radius if lo is None else lo
-    hi = spec.spatial_radius if hi is None else hi
-    if hi <= lo:
-        b = max(_probe_columns(f, lo, hi), 1)
-        return np.zeros(b, dtype=complex), np.zeros(b), 0
-    vals, errs, panels, ncols = _run(f, lo, hi, spec, freq_hint)
-    if not ncols and panels:
-        raise DomainError("integrate_line_batch expects a batched integrand")
-    return vals, errs, panels
+    return _run(f, lo, hi, spec, freq_hint)
 
 
 def _k_limits(spec, hbar, mass, e_lo, e_hi):
@@ -323,7 +303,7 @@ def _k_limits(spec, hbar, mass, e_lo, e_hi):
 def integrate_energy(g, spec: QuadratureSpec, hbar: float = 1.0, mass: float = 0.5,
                      e_lo: float = 0.0, e_hi: float | None = None,
                      freq_hint: float = 0.0) -> QuadratureResult:
-    """Integrate g(E) over the continuous spectrum.
+    """Integrate g(E), 1-d or (n, B), over the continuous spectrum.
 
     The integral runs in the wave-number variable through E = (hbar k)^2/(2m),
     which absorbs the 1/sqrt(E) edge that spectral densities carry at the
@@ -336,29 +316,11 @@ def integrate_energy(g, spec: QuadratureSpec, hbar: float = 1.0, mass: float = 0
 
     def integrand(k):
         e = (hbar * k) ** 2 / (2.0 * mass)
-        return np.asarray(g(e)) * (jac * k)
+        ge = np.asarray(g(e))
+        return ge * ((jac * k)[:, None] if ge.ndim == 2 else jac * k)
 
-    vals, errs, panels, ncols = _run(integrand, k_lo, k_hi, spec, freq_hint)
-    if ncols:
-        raise DomainError("integrate_energy expects a scalar integrand; use the batch variant")
-    return QuadratureResult(value=complex(vals[0]), error=float(errs[0]), panels=panels)
+    return _run(integrand, k_lo, k_hi, spec, freq_hint)
 
 
-def integrate_energy_batch(g, spec: QuadratureSpec, hbar: float = 1.0, mass: float = 0.5,
-                           e_lo: float = 0.0, e_hi: float | None = None,
-                           freq_hint: float = 0.0):
-    """Batched companion of integrate_energy; g maps E-nodes to (n, B)."""
-    k_lo, k_hi = _k_limits(spec, hbar, mass, e_lo, e_hi)
-    jac = hbar * hbar / mass
-
-    def integrand(k):
-        e = (hbar * k) ** 2 / (2.0 * mass)
-        return np.asarray(g(e)) * (jac * k)[:, None]
-
-    if k_hi <= k_lo:
-        b = max(_probe_columns(integrand, k_lo, k_hi), 1)
-        return np.zeros(b, dtype=complex), np.zeros(b), 0
-    vals, errs, panels, ncols = _run(integrand, k_lo, k_hi, spec, freq_hint)
-    if not ncols and panels:
-        raise DomainError("integrate_energy_batch expects a batched integrand")
-    return vals, errs, panels
+integrate_line_batch = integrate_line
+integrate_energy_batch = integrate_energy

@@ -585,9 +585,8 @@ def _overlap(f: TestFunction, g: TestFunction, spec: QuadratureSpec) -> complex:
     if hi <= lo:
         return 0j
     hint = f.max_phase() + g.max_phase()
-    vals, _, _, _ = _run(lambda x: _product(f, g, x), lo, hi, spec, hint,
-                         (f.model.a, f.model.b))
-    return complex(vals[0])
+    return _run(lambda x: _product(f, g, x), lo, hi, spec, hint,
+                (f.model.a, f.model.b)).value
 
 
 def seminorm(f: TestFunction, n: int, m: int, l: int, spec: QuadratureSpec) -> float:

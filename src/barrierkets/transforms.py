@@ -146,7 +146,6 @@ from .quadrature import (
     _eval_panels,
     _run,
     integrate_energy,
-    integrate_energy_batch,
     integrate_line,
 )
 from .scattering import Channel, SignLabel, _sinc, _solve
@@ -452,9 +451,7 @@ def _build_rule(fs: TestFunction, region, spec: QuadratureSpec) -> _Rule:
             [np.conj(wave[:, ::-1]), wave], axis=1)
 
     _, _, a, b, _ = _adaptive(partial(_eval_panels, probes, True), lo, hi,
-                              ispec.abs_tol, ispec.rel_tol,
-                              spec.max_subdivisions,
-                              spec.k_max + fs.max_phase(), signed=True)
+                              ispec, spec.k_max + fs.max_phase(), signed=True)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     x = mid[:, None] + half[:, None] * _GL_X
     wf = (half[:, None] * _GL_W) * evaluate(fs, x.ravel()).reshape(x.shape)
@@ -853,8 +850,7 @@ def synthesize_energy(amp: EnergyAmplitude, x, spec: QuadratureSpec,
 
     hint = float(np.max(np.abs(x_arr))) + amp.osc_hint
     vals, _, _, _, _ = _adaptive(_synthesis_panels(sample, x_arr.size), 0.0,
-                                 spec.k_max, spec.abs_tol, spec.rel_tol,
-                                 spec.max_subdivisions, hint)
+                                 spec.k_max, spec, hint)
     if np.ndim(x) == 0:
         return complex(vals[0])
     return vals
@@ -911,8 +907,7 @@ def synthesize_momentum(amp: MomentumAmplitude, x, spec: QuadratureSpec):
 
     hint = (float(np.max(np.abs(x_arr))) + abs(amp.demod)) / hbar
     vals, _, _, _, _ = _adaptive(_synthesis_panels(sample, x_arr.size),
-                                 -amp.p_max, amp.p_max, spec.abs_tol,
-                                 spec.rel_tol, spec.max_subdivisions, hint)
+                                 -amp.p_max, amp.p_max, spec, hint)
     if np.ndim(x) == 0:
         return complex(vals[0])
     return vals
@@ -931,9 +926,8 @@ def _position_overlap(f: TestFunction, g: TestFunction, spec: QuadratureSpec,
         w = x ** weight_power if weight_power else 1.0
         return _product(f, g, x) * w
 
-    vals, _, _, _ = _run(integrand, lo, hi, spec,
-                         f.max_phase() + g.max_phase(), (f.model.a, f.model.b))
-    return complex(vals[0])
+    return _run(integrand, lo, hi, spec, f.max_phase() + g.max_phase(),
+                (f.model.a, f.model.b)).value
 
 
 def _momentum_overlap(f: TestFunction, g: TestFunction, spec: QuadratureSpec,
@@ -1060,9 +1054,10 @@ def spectral_probability(f: TestFunction, e_lo: float, e_hi: float,
 
     values = np.zeros(len(Channel))
     if hi_eff > e_lo:
-        values = integrate_energy_batch(
+        # A window empty in k (e_lo at the cutoff) integrates to one 0j.
+        values += integrate_energy(
             integrand, spec, hbar=model.hbar, mass=model.mass, e_lo=e_lo,
-            e_hi=hi_eff, freq_hint=2.0 * amp.osc_hint)[0].real
+            e_hi=hi_eff, freq_hint=2.0 * amp.osc_hint).value.real
     per_channel = dict(zip(Channel, values.tolist()))
     prob = sum(per_channel.values())
     tail = _energy_tail(amp) if e_hi > amp.e_cut else 0.0

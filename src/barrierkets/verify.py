@@ -20,11 +20,11 @@ import numpy as np
 
 from .errors import CapabilityError, DomainError
 from .model import BarrierModel, Observable
-from .quadrature import QuadratureSpec, _run, integrate_energy_batch, \
-    integrate_line, integrate_line_batch
+from .quadrature import QuadratureSpec, _run, integrate_energy, integrate_line
 from .scattering import Channel, SignLabel, _solve
 from .eigenbasis import _wave_grid
 from .testspace import (
+    _SUPPORT_CUTOFF_LOG,
     GaussianPacket,
     TestFunction,
     _member,
@@ -54,7 +54,7 @@ __all__ = [
 
 # Probe support is cut where the Gaussian drops to the same relative level
 # the test-function support logic uses.
-_PROBE_SIGMA = math.sqrt(41.5)
+_PROBE_SIGMA = math.sqrt(_SUPPORT_CUTOFF_LOG)
 # Norm growth factor across a doubling of the truncation radius that flags
 # an unbounded observable application.
 _GROWTH_FLAG = 1.15
@@ -188,9 +188,8 @@ def check_eigenbra_conjugation(model: BarrierModel, energy: float,
             rows = _wave_grid(model, sol, channel, sign, x)
             return np.conj(evaluate(f, x)) * rows[0]
 
-        vals, _, _, _ = _run(bra_integrand, lo, hi, spec, k + f.max_phase(),
-                             (model.a, model.b))
-        bra = complex(vals[0])
+        bra = _run(bra_integrand, lo, hi, spec, k + f.max_phase(),
+                   (model.a, model.b)).value
         nf = seminorm(f, 0, 0, 0, spec)
         conj_resid = abs(bra - np.conj(amp))
         conj_resid = conj_resid / nf if nf > 0.0 else conj_resid
@@ -201,12 +200,10 @@ def check_eigenbra_conjugation(model: BarrierModel, energy: float,
         label = _packet_label(i, f)
         witnesses.append((label + " conjugation", conj_resid))
         witnesses.append((label + " eigenbra", eig_resid))
-    # The two statements carry different tolerances (the conjugation one is
-    # structural), so the report's residual is the worst ratio of each
-    # witness to its own budget, against a unit tolerance.
-    for name, r in witnesses:
-        scale = 1e-12 if name.endswith("conjugation") else 1e-6
-        worst = max(worst, r / scale)
+        # The two statements carry different tolerances (the conjugation one
+        # is structural), so the report's residual is the worst ratio of
+        # each witness to its own budget, against a unit tolerance.
+        worst = max(worst, conj_resid / 1e-12, eig_resid / 1e-6)
     return _report("eigenbra_conjugation", worst, 1.0, witnesses)
 
 
@@ -236,27 +233,26 @@ def _delta_energy(model: BarrierModel, sign: SignLabel, probe, channel: Channel,
             return amp_in(e)[:, None] * _wave_grid(model, _solve(model, e),
                                                    channel, sign, x)
 
-        vals, _, _ = integrate_energy_batch(
+        vals, _, _ = integrate_energy(
             g, ispec, hbar=hbar, mass=mass, e_lo=e_lo, e_hi=e_hi,
             freq_hint=float(np.max(np.abs(x))) + 1.0)
         return vals
 
     grid = np.linspace(center - 2.0 * width, center + 2.0 * width, 11)
     sol = _solve(model, grid)
-    out = {}
-    for ch in (Channel.LEFT, Channel.RIGHT):
-
-        def integrand(x, ch=ch):
-            rows = _wave_grid(model, sol, ch, sign, x)
-            return np.conj(rows).T * psi_rows(x)[:, None]
-
-        vals, _, _ = integrate_line_batch(
-            integrand, ispec, lo=-radius, hi=radius,
-            freq_hint=float(sol.k.max()) + k0)
-        out[ch] = vals
-    same = np.abs(out[channel] - amp_in(grid))
     other = Channel.RIGHT if channel is Channel.LEFT else Channel.LEFT
-    leak = np.abs(out[other])
+
+    def integrand(x):
+        # One analysis of the synthesized wave: the injected channel's
+        # columns, then the other channel's.
+        rows = np.concatenate([_wave_grid(model, sol, ch, sign, x)
+                               for ch in (channel, other)])
+        return np.conj(rows).T * psi_rows(x)[:, None]
+
+    vals, _, _ = integrate_line(integrand, ispec, lo=-radius, hi=radius,
+                                freq_hint=float(sol.k.max()) + k0)
+    same = np.abs(vals[:grid.size] - amp_in(grid))
+    leak = np.abs(vals[grid.size:])
     return grid, same, leak
 
 
@@ -276,7 +272,7 @@ def _delta_momentum(model: BarrierModel, probe, spec: QuadratureSpec):
         def g(p):
             return amp_in(p)[:, None] * np.exp(1j * np.outer(p, x) / hbar) * scale
 
-        vals, _, _ = integrate_line_batch(
+        vals, _, _ = integrate_line(
             g, ispec, lo=p_lo, hi=p_hi,
             freq_hint=float(np.max(np.abs(x))) / hbar)
         return vals
@@ -287,7 +283,7 @@ def _delta_momentum(model: BarrierModel, probe, spec: QuadratureSpec):
         kernel = np.exp(-1j * np.outer(x, grid) / hbar) * scale
         return kernel * psi_rows(x)[:, None]
 
-    vals, _, _ = integrate_line_batch(
+    vals, _, _ = integrate_line(
         integrand, ispec, lo=-radius, hi=radius,
         freq_hint=(float(np.max(np.abs(grid))) + abs(center)) / hbar)
     return grid, np.abs(vals - amp_in(grid))

@@ -1,5 +1,5 @@
 """Start-up of the package and the narrative demos, each in a fresh process,
-and the package names the benchmark tracer wraps."""
+and the package names the benchmark tracer wraps and what it counts."""
 
 import importlib.util
 import os
@@ -54,3 +54,31 @@ def test_traced_functions_resolve():
         for name in functions:
             assert callable(getattr(module, name, None)), \
                 f"barrierkets.{layer}.{name}"
+
+
+def test_tracer_wraps_both_shapes():
+    # The batch names are aliases, so the tracer's wrapper of the one
+    # function serves both names and must count the columns of an (n, B)
+    # integrand.  Equal columns converge on the scalar call's panels, so
+    # the batched call samples as many nodes, twice over.
+    code = """
+import importlib.util, sys
+import numpy as np
+spec = importlib.util.spec_from_file_location("bench_tracer", sys.argv[1])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+t = tracer.Tracer()
+t.install()
+import barrierkets as bk
+q = bk.QuadratureSpec()
+bk.integrate_line(lambda x: np.exp(-x * x) + 0j, q, lo=-3.0, hi=3.0)
+bk.integrate_line_batch(lambda x: np.exp(-np.outer(x * x, [1.0, 1.0])) + 0j,
+                        q, lo=-3.0, hi=3.0)
+c = t.counts
+print(c["quadrature.calls"], c["quadrature.nodes"], c["quadrature.node_columns"])
+"""
+    proc = _run(["-c", code, str(ROOT / "bench" / "tracer.py")], 120)
+    assert proc.returncode == 0, proc.stderr
+    calls, nodes, node_columns = map(float, proc.stdout.split())
+    assert calls == 2 and nodes > 0
+    assert node_columns == 1.5 * nodes

@@ -65,16 +65,20 @@ def test_high_frequency_phase(spec):
 
 
 def test_batch_matches_scalar(spec):
+    # One entry point takes both shapes and returns the shape it got; the
+    # batch name is the same function.
+    assert integrate_line_batch is integrate_line
     freqs = np.array([0.0, 1.0, 3.0, 7.0])
 
     def g(x):
         return np.exp(-x[:, None] ** 2) * np.exp(1j * np.outer(x, freqs))
 
-    vals, errs, _ = integrate_line_batch(g, spec, lo=-9.0, hi=9.0,
-                                         freq_hint=7.0)
+    vals, errs, _ = integrate_line(g, spec, lo=-9.0, hi=9.0, freq_hint=7.0)
+    assert vals.shape == errs.shape == freqs.shape
     for i, w in enumerate(freqs):
         single = integrate_line(lambda x, w=w: np.exp(-x * x + 1j * w * x),
                                 spec, lo=-9.0, hi=9.0, freq_hint=float(w))
+        assert type(single.value) is complex and type(single.error) is float
         assert abs(vals[i] - single.value) < 5e-12
     assert np.all(errs <= max(spec.abs_tol, 1e-9))
 
@@ -94,14 +98,32 @@ def test_energy_sqrt_moment(spec):
 
 
 def test_energy_batch_matches_scalar(spec):
+    assert integrate_energy_batch is integrate_energy
     powers = np.array([0.5, 1.0, 2.0])
 
     def g(e):
         return e[:, None] ** powers[None, :] + 0j
 
-    vals, _, _ = integrate_energy_batch(g, spec, e_lo=0.0, e_hi=2.0)
+    vals, errs, _ = integrate_energy(g, spec, e_lo=0.0, e_hi=2.0)
+    assert vals.shape == errs.shape == powers.shape
     expect = [2.0 ** (p + 1) / (p + 1) for p in powers]
     assert np.allclose(vals.real, expect, rtol=1e-11)
+    single = integrate_energy(lambda e: e + 0j, spec, e_lo=0.0, e_hi=2.0)
+    assert type(single.value) is complex and type(single.error) is float
+    assert abs(single.value - vals[1]) < 1e-11
+
+
+def test_empty_interval_calls_no_integrand(spec):
+    # An empty interval is one scalar zero, whatever shape the integrand
+    # would return; the last window starts past E(k_max) = k_max^2 (hbar 1,
+    # mass 1/2), where it is empty in k.
+    def batched(x):
+        raise AssertionError("an empty interval needs no integrand call")
+
+    assert integrate_line(batched, spec, lo=1.0, hi=1.0) == (0j, 0.0, 0)
+    assert integrate_energy(batched, spec, e_lo=2.0, e_hi=2.0) == (0j, 0.0, 0)
+    e_past = 2.0 * spec.k_max ** 2
+    assert integrate_energy(batched, spec, e_lo=e_past) == (0j, 0.0, 0)
 
 
 def test_default_truncation_radius(spec):

@@ -242,7 +242,7 @@ def test_probability_of_window_past_cutoff_is_zero(f, monkeypatch):
     def no_integral(*args, **kwargs):
         raise AssertionError("an empty window needs no integral")
 
-    monkeypatch.setattr(transforms, "integrate_energy_batch", no_integral)
+    monkeypatch.setattr(transforms, "integrate_energy", no_integral)
     prob, info = spectral_probability(fn, 2.0 * e_cut, 3.0 * e_cut,
                                       SignLabel.PLUS, SPEC, details=True)
     assert prob == 0.0
