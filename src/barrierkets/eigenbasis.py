@@ -17,24 +17,36 @@ conjugated where the offset is negative.  The position
 eigenfunctions are delta distributions; they have no pointwise values and
 act only inside integrals, so no evaluator for them exists here.
 
-All energy eigenfunction values come from one grid evaluator over (energies
-of one matching solution) x (positions); scattering_wave is its one-energy
-view.  Inside the barrier it reads _interior_waves, which returns the values
-psi and the slopes psi' of the plus family at interior points by two routes,
-each on its own rows: the cos / d*sinc propagator where
-|kappa| * width <= SMALL_PHASE or the energy lies in the degenerate shell
-around the barrier top, and the interface-scaled exponential basis
-everywhere else.  The energy analysis reads both at the middle of each
-interior sub-region, the data that fixes the eigenfunction there.
+Outside the barrier every energy eigenfunction is A exp(ikx) + B exp(-ikx),
+its weights (A, B) on each side read from the matching coefficients by one
+table, _exterior_weights (de la Madrid, quant-ph/0502053):
+
+    plus family      left of a      right of b
+    channel LEFT     (1, r_l)       (t, 0)
+    channel RIGHT    (0, t)         (r_r, 1)
+
+and the minus family, the conjugate waves, has (conj B, conj A).  All energy
+eigenfunction values come from one grid evaluator over (energies of one
+matching solution) x (positions); scattering_wave is its one-energy view.
+Inside the barrier it reads _interior_waves, which returns the values psi
+and the slopes psi' of the plus family (the minus family conjugates both)
+by two routes, each on its own rows: where |kappa| * width <= SMALL_PHASE
+or the energy lies in the degenerate shell around the barrier top, the
+transmitted wave at the far step carried inward by scattering._propagate;
+the interface-scaled exponential basis everywhere else.  The transforms
+read the same table, and (psi, psi') at the middle of each interior
+sub-region.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .model import BarrierModel
 from .scattering import SMALL_PHASE, Channel, ScatteringSolution, SignLabel, \
-    _sinc, _solve
+    _propagate, _solve
 
 __all__ = [
     "energy_prefactor",
@@ -51,6 +63,11 @@ def energy_prefactor(model: BarrierModel, k):
     if np.ndim(k) == 0:
         return float(val)
     return val
+
+
+def _plane_wave_norm(hbar: float) -> float:
+    """1 / sqrt(2 pi hbar), the delta normalization of the plane waves."""
+    return 1.0 / math.sqrt(2.0 * math.pi * hbar)
 
 
 def _cis(phase: np.ndarray) -> np.ndarray:
@@ -104,6 +121,23 @@ def _panel_waves(coef: np.ndarray, mid: np.ndarray, half: np.ndarray,
     return out
 
 
+def _exterior_weights(sol: ScatteringSolution, sign: SignLabel):
+    """The exterior table of the module docstring at the energies of sol.
+
+    Returns (left of a, right of b), each mapping a channel to the weights
+    (A, B) of A exp(ikx) + B exp(-ikx) in that channel's eigenfunction of
+    the given sign family.
+    """
+    t, r_l, r_r = sol.t, sol.r_l, sol.r_r
+    left = {Channel.LEFT: (1.0, r_l), Channel.RIGHT: (0.0, t)}
+    right = {Channel.LEFT: (t, 0.0), Channel.RIGHT: (r_r, 1.0)}
+    if sign is SignLabel.MINUS:
+        return tuple({c: (np.conj(w_b), np.conj(w_a))
+                      for c, (w_a, w_b) in side.items()}
+                     for side in (left, right))
+    return left, right
+
+
 def _interior_waves(model: BarrierModel, sol: ScatteringSolution,
                     channel: Channel, x: np.ndarray):
     """Plus-family values psi and slopes psi' of one channel at points x
@@ -123,26 +157,15 @@ def _interior_waves(model: BarrierModel, sol: ScatteringSolution,
         psi[expo] = up + down
         dpsi[expo] = 1j * kx * (up - down)
     if prop.any():
-        # Thin or threshold barrier: propagate boundary data with functions
-        # of kappa^2 alone, exact down to kappa = 0.
-        ik = 1j * k[prop, None]
+        # Thin or threshold barrier: functions of kappa^2 alone, exact
+        # down to kappa = 0.
         if channel is Channel.LEFT:
-            x0 = model.a
-            r = sol.r_l[prop, None]
-            e_p = np.exp(ik * x0)
-            psi0 = e_p + r / e_p
-            dpsi0 = ik * (e_p - r / e_p)
+            far, ik = model.b, 1j * k[prop, None]
         else:
-            x0 = model.b
-            r = sol.r_r[prop, None]
-            e_m = np.exp(-ik * x0)
-            psi0 = e_m + r / e_m
-            dpsi0 = -ik * e_m + ik * r / e_m
-        dx = x - x0
-        z = kappa[prop] * dx
-        cos, sinc = np.cos(z), _sinc(z)
-        psi[prop] = psi0 * cos + dpsi0 * dx * sinc
-        dpsi[prop] = dpsi0 * cos - sol.kappa_sq[prop, None] * psi0 * dx * sinc
+            far, ik = model.a, -1j * k[prop, None]
+        psi0 = sol.t[prop, None] * np.exp(ik * far)
+        psi[prop], dpsi[prop] = _propagate(psi0, ik * psi0, kappa[prop],
+                                           sol.kappa_sq[prop, None], x - far)
     return psi, dpsi
 
 
@@ -159,18 +182,13 @@ def _wave_grid(model: BarrierModel, sol: ScatteringSolution, channel: Channel,
     left = x < model.a
     right = x > model.b
     mid = ~(left | right)
-    # Each exterior side forms exp(ikx) once; exp(-ikx) is its conjugate.
-    wave_l = _cis(np.outer(k, x[left]))
-    wave_r = _cis(np.outer(k, x[right]))
-    if channel is Channel.LEFT:
-        rows[:, left] = wave_l + sol.r_l[:, None] * np.conj(wave_l)
-        rows[:, right] = sol.t[:, None] * wave_r
-    else:
-        rows[:, right] = np.conj(wave_r) + sol.r_r[:, None] * wave_r
-        rows[:, left] = sol.t[:, None] * np.conj(wave_l)
-    rows[:, mid] = _interior_waves(model, sol, channel, x[mid])[0]
-    if sign is SignLabel.MINUS:
-        rows = np.conj(rows)
+    for cols, weights in zip((left, right), _exterior_weights(sol, sign)):
+        # Each side forms exp(ikx) once; exp(-ikx) is its conjugate.
+        wave = _cis(np.outer(k, x[cols]))
+        w_a, w_b = (np.asarray(w)[..., None] for w in weights[channel])
+        rows[:, cols] = w_a * wave + w_b * np.conj(wave)
+    psi = _interior_waves(model, sol, channel, x[mid])[0]
+    rows[:, mid] = np.conj(psi) if sign is SignLabel.MINUS else psi
     if include_prefactor:
         rows = rows * energy_prefactor(model, k)[:, None]
     return rows

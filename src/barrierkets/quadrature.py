@@ -262,6 +262,8 @@ def _run(f, lo, hi, spec, freq_hint, breaks=()):
     as extra starting edges."""
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError("integration limits must be finite")
+    if not math.isfinite(freq_hint):
+        raise DomainError(f"freq_hint must be finite, got {freq_hint}")
     if hi <= lo:
         return QuadratureResult(0j, 0.0, 0)
     vals, errs, a, _, ncols = _adaptive(partial(_eval_panels, f, False), lo,
@@ -291,12 +293,13 @@ def _k_limits(spec, hbar, mass, e_lo, e_hi):
     if e_lo < 0.0 or not math.isfinite(e_lo):
         raise DomainError(f"energy window must start at e_lo >= 0, got {e_lo}")
     k_lo = math.sqrt(2.0 * mass * e_lo) / hbar
-    if e_hi is None or math.isinf(e_hi):
-        k_hi = spec.k_max
-    else:
-        if e_hi < e_lo:
-            raise DomainError("energy window must satisfy e_hi >= e_lo")
-        k_hi = min(spec.k_max, math.sqrt(2.0 * mass * e_hi) / hbar)
+    if e_hi is None:
+        e_hi = math.inf
+    # A nan e_hi fails this test too; e_hi = inf reaches k_max.
+    if not e_hi >= e_lo:
+        raise DomainError(
+            f"energy window must satisfy e_hi >= e_lo, got e_hi = {e_hi}")
+    k_hi = min(spec.k_max, math.sqrt(2.0 * mass * e_hi) / hbar)
     return k_lo, k_hi
 
 

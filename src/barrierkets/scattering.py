@@ -1,13 +1,14 @@
 """Transmission and reflection amplitudes of the rectangular barrier.
 
-The solve propagates boundary data (psi, psi') across the barrier with the
-pair cos(kappa d) and d*sinc(kappa d), both entire in kappa^2, so the
-propagating, evanescent and threshold regimes share one code path.  Interior
-amplitudes are additionally extracted in the interface-scaled basis
-{exp(i kappa (x-a)), exp(-i kappa (x-b))}, whose members stay bounded inside
-the barrier for Im kappa >= 0; that representation is what downstream
-evaluation uses when the barrier is opaque, where the textbook basis
-{exp(+-i kappa x)} would demand catastrophic cancellation.
+The solve carries boundary data (psi, psi') across the barrier with
+_propagate, the pair cos(kappa d) and d*sinc(kappa d), both entire in
+kappa^2, so the propagating, evanescent and threshold regimes share one
+code path.  Interior amplitudes are additionally extracted in the
+interface-scaled basis {exp(i kappa (x-a)), exp(-i kappa (x-b))}, whose
+members stay bounded inside the barrier for Im kappa >= 0; that
+representation is what downstream evaluation uses when the barrier is
+opaque, where the textbook basis {exp(+-i kappa x)} would demand
+catastrophic cancellation.
 
 One kernel solves a whole array of energies at once and returns a
 ScatteringSolution with array fields; it raises ConditioningError or
@@ -122,6 +123,14 @@ def _sinc(z):
                     np.sin(safe) / safe)
 
 
+def _propagate(psi, dpsi, kappa, kappa_sq, dx):
+    """(psi, psi') inside the barrier carried a distance dx, by the pair
+    cos(kappa dx) and dx sinc(kappa dx), both entire in kappa^2."""
+    z = kappa * dx
+    cos, sinc = np.cos(z), dx * _sinc(z)
+    return cos * psi + sinc * dpsi, cos * dpsi - kappa_sq * sinc * psi
+
+
 def _check_matching(c_in, energies, side: str) -> None:
     bad = ~(np.isfinite(c_in) & (np.abs(c_in) > 1e-12))
     if bad.any():
@@ -141,15 +150,11 @@ def _solve(model: BarrierModel, energies: np.ndarray) -> ScatteringSolution:
             f"barrier opacity |Im kappa|*width = {opacity.max():.1f} exceeds "
             "floating-point range")
 
-    zc = np.cos(kappa * d)
-    zs = d * _sinc(kappa * d)
     ik = 1j * k
 
     # Left incidence: unit transmitted wave at b, propagated back to a.
     eb = np.exp(ik * b)
-    psi_b, dpsi_b = eb, ik * eb
-    psi_a = zc * psi_b - zs * dpsi_b
-    dpsi_a = kappa_sq * zs * psi_b + zc * dpsi_b
+    psi_a, dpsi_a = _propagate(eb, ik * eb, kappa, kappa_sq, -d)
     ea = np.exp(ik * a)
     c_in = 0.5 * (psi_a + dpsi_a / ik) / ea
     c_ref = 0.5 * (psi_a - dpsi_a / ik) * ea
@@ -159,9 +164,7 @@ def _solve(model: BarrierModel, energies: np.ndarray) -> ScatteringSolution:
 
     # Right incidence: unit transmitted wave at a, propagated forward to b.
     ea_m = np.exp(-ik * a)
-    psi_a2, dpsi_a2 = ea_m, -ik * ea_m
-    psi_b2 = zc * psi_a2 + zs * dpsi_a2
-    dpsi_b2 = -kappa_sq * zs * psi_a2 + zc * dpsi_a2
+    psi_b2, dpsi_b2 = _propagate(ea_m, -ik * ea_m, kappa, kappa_sq, d)
     c_in2 = 0.5 * (psi_b2 - dpsi_b2 / ik) * eb
     c_ref2 = 0.5 * (psi_b2 + dpsi_b2 / ik) / eb
     _check_matching(c_in2, energies, "right")

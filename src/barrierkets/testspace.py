@@ -446,7 +446,7 @@ def evaluate(f: TestFunction, x, n: int = 0):
     if n > ORDER_CAP:
         raise CapabilityError(f"derivative order {n} exceeds cap {ORDER_CAP}")
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    total = f._values(x_arr, n)
+    total = f._values(x_arr.ravel(), n).reshape(x_arr.shape)
     if np.ndim(x) == 0:
         return complex(total[0])
     return total
@@ -516,6 +516,9 @@ def build_test_function(model: BarrierModel, packet: GaussianPacket) -> TestFunc
     """Construct a windowed Gaussian packet as a TestFunction."""
     if not (packet.width > 0.0 and math.isfinite(packet.width)):
         raise DomainError(f"packet width must be positive, got {packet.width}")
+    if not (math.isfinite(packet.center) and math.isfinite(packet.momentum)):
+        raise DomainError("packet center and momentum must be finite, got "
+                          f"{packet.center} and {packet.momentum}")
     if packet.poly_degree < 0:
         raise DomainError("poly_degree must be >= 0")
     # (x - center)^degree is u^degree in the block's shifted variable.

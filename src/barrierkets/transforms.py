@@ -11,15 +11,9 @@ overlaps are line integrals handled by the quadrature module.
 Amplitude values are needed at thousands of quadrature nodes, so transforms
 build a certified interpolation cache.  Outside the barrier every
 eigenfunction is A exp(ikx) + B exp(-ikx), its weights (A, B) on each side
-taken from the matching coefficients r_l(k), r_r(k) and t(k) by one table
-(de la Madrid, quant-ph/0502053):
-
-    plus family      left of a      right of b
-    channel LEFT     (1, r_l)       (t, 0)
-    channel RIGHT    (0, t)         (r_r, 1)
-
-and the minus family, the conjugate waves, has (conj B, conj A).  So on each
-exterior region R of f the amplitudes of both channels and both sign
+read from the matching coefficients by the exterior table that the
+eigenbasis module owns and describes (eigenbasis._exterior_weights).  So on
+each exterior region R of f the amplitudes of both channels and both sign
 families, and the plane-wave (momentum) amplitudes, are all read from one
 function of a signed wave number,
 
@@ -149,8 +143,8 @@ from .quadrature import (
     integrate_line,
 )
 from .scattering import Channel, SignLabel, _sinc, _solve
-from .eigenbasis import _cis, _interior_waves, _panel_waves, _wave_grid, \
-    energy_prefactor
+from .eigenbasis import _cis, _exterior_weights, _interior_waves, \
+    _panel_waves, _plane_wave_norm, _wave_grid, energy_prefactor
 from .testspace import TestFunction, _member, _product, _support, evaluate, \
     inner_product
 
@@ -367,23 +361,6 @@ def _chebyshev_panels(direct, lo: float, hi: float, n0: int, tol: float,
     edges = np.append(starts[order], hi)
     return _Panels(edges, np.concatenate(done_coeffs)[order], known_k.size,
                    worst)
-
-
-def _exterior_weights(sol, sign: SignLabel):
-    """The table of the module docstring at the energies of sol.
-
-    Returns (left of a, right of b), each mapping a channel to the weights
-    (A, B) of A exp(ikx) + B exp(-ikx) in that channel's eigenfunction of
-    the given sign family.
-    """
-    t, r_l, r_r = sol.t, sol.r_l, sol.r_r
-    left = {Channel.LEFT: (1.0, r_l), Channel.RIGHT: (0.0, t)}
-    right = {Channel.LEFT: (t, 0.0), Channel.RIGHT: (r_r, 1.0)}
-    if sign is SignLabel.MINUS:
-        return tuple({c: (np.conj(w_b), np.conj(w_a))
-                      for c, (w_a, w_b) in side.items()}
-                     for side in (left, right))
-    return left, right
 
 
 class _Rule:
@@ -672,7 +649,7 @@ class MomentumAmplitude:
         self.p_max = model.hbar * spec.k_max
         self.demod = demod
         self._fourier = fourier
-        norm = 1.0 / math.sqrt(2.0 * math.pi * model.hbar)
+        norm = _plane_wave_norm(model.hbar)
         self._factor = scale * norm
         self.cache_points = fourier.points
         self.max_interp_error = scale * _INTERP_SAFETY * (norm * fourier.max_err)
@@ -801,12 +778,19 @@ def _synthesis_panels(sample, ncols: int):
 
 
 def _positions(x) -> np.ndarray:
-    """The synthesis positions x as a 1-d array, refusing non-finite ones,
+    """The synthesis positions x flattened to 1-d, refusing non-finite ones,
     which no panel count of the spectral integral can resolve."""
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    x_arr = np.asarray(x, dtype=float).ravel()
     if not np.isfinite(x_arr).all():
         raise DomainError("synthesis needs finite positions")
     return x_arr
+
+
+def _shaped(vals: np.ndarray, x):
+    """Synthesized values, one per flattened position, in the shape of x."""
+    if np.ndim(x) == 0:
+        return complex(vals[0])
+    return vals.reshape(np.shape(x))
 
 
 def synthesize_energy(amp: EnergyAmplitude, x, spec: QuadratureSpec,
@@ -819,14 +803,14 @@ def synthesize_energy(amp: EnergyAmplitude, x, spec: QuadratureSpec,
 
     The integral runs in k over [0, k_max], dE = hbar^2 k / m dk.  Outside
     the barrier the channel sum is (sum over c of amp_c A_c) exp(ikx) +
-    (sum over c of amp_c B_c) exp(-ikx), the weights (A, B) from the table
-    of the module docstring, so each side is one wave pair of
+    (sum over c of amp_c B_c) exp(-ikx), the weights (A, B) from
+    eigenbasis._exterior_weights, so each side is one wave pair of
     _synthesis_panels; inside it the sum is formed from _wave_grid's rows.
     """
     model = amp.model
     x_arr = _positions(x)
     if not x_arr.size:
-        return np.zeros(x_arr.shape, dtype=complex)
+        return np.zeros(np.shape(x), dtype=complex)
     left, right = x_arr < model.a, x_arr > model.b
     mid = ~(left | right)
     jac = model.hbar ** 2 / model.mass
@@ -851,9 +835,7 @@ def synthesize_energy(amp: EnergyAmplitude, x, spec: QuadratureSpec,
     hint = float(np.max(np.abs(x_arr))) + amp.osc_hint
     vals, _, _, _, _ = _adaptive(_synthesis_panels(sample, x_arr.size), 0.0,
                                  spec.k_max, spec, hint)
-    if np.ndim(x) == 0:
-        return complex(vals[0])
-    return vals
+    return _shaped(vals, x)
 
 
 def momentum_transform(f: TestFunction, direction: str = "analysis",
@@ -899,8 +881,8 @@ def synthesize_momentum(amp: MomentumAmplitude, x, spec: QuadratureSpec):
     hbar = amp.hbar
     x_arr = _positions(x)
     if not x_arr.size:
-        return np.zeros(x_arr.shape, dtype=complex)
-    scale = 1.0 / math.sqrt(2.0 * math.pi * hbar)
+        return np.zeros(np.shape(x), dtype=complex)
+    scale = _plane_wave_norm(hbar)
 
     def sample(p):
         return [(slice(None), x_arr / hbar, amp.amplitude(p) * scale, None)], None
@@ -908,9 +890,7 @@ def synthesize_momentum(amp: MomentumAmplitude, x, spec: QuadratureSpec):
     hint = (float(np.max(np.abs(x_arr))) + abs(amp.demod)) / hbar
     vals, _, _, _, _ = _adaptive(_synthesis_panels(sample, x_arr.size),
                                  -amp.p_max, amp.p_max, spec, hint)
-    if np.ndim(x) == 0:
-        return complex(vals[0])
-    return vals
+    return _shaped(vals, x)
 
 
 def _position_overlap(f: TestFunction, g: TestFunction, spec: QuadratureSpec,

@@ -22,7 +22,7 @@ from .errors import CapabilityError, DomainError
 from .model import BarrierModel, Observable
 from .quadrature import QuadratureSpec, _run, integrate_energy, integrate_line
 from .scattering import Channel, SignLabel, _solve
-from .eigenbasis import _wave_grid
+from .eigenbasis import _plane_wave_norm, _wave_grid
 from .testspace import (
     _SUPPORT_CUTOFF_LOG,
     GaussianPacket,
@@ -263,7 +263,7 @@ def _delta_momentum(model: BarrierModel, probe, spec: QuadratureSpec):
     ispec = drep(spec, abs_tol=spec.abs_tol / 100.0, spatial_radius=radius)
     p_lo = center - _PROBE_SIGMA * width
     p_hi = center + _PROBE_SIGMA * width
-    scale = 1.0 / math.sqrt(2.0 * math.pi * hbar)
+    scale = _plane_wave_norm(hbar)
 
     def amp_in(p):
         return np.exp(-(((p - center) / width) ** 2))
@@ -438,16 +438,31 @@ def check_non_member(model: BarrierModel, spec: QuadratureSpec) -> ResidualRepor
                    witnesses)
 
 
-SUITE_CHECK_NAMES = (
-    "eigen_equation_h",
-    "eigen_equation_p",
-    "eigenbra_conjugation",
-    "delta_normalization_energy",
-    "delta_normalization_momentum",
-    "commutators",
-    "invariance_battery",
-    "non_member_flagged",
-)
+# The default suite, in its order: each check's run on (model, spec, battery).
+_SUITE = {
+    "eigen_equation_h": lambda model, spec, battery: check_eigen_equation(
+        model, 1.0, Channel.LEFT, SignLabel.PLUS, battery, spec,
+        observable=Observable.H),
+    "eigen_equation_p": lambda model, spec, battery: check_eigen_equation(
+        model, 2.0, Channel.LEFT, SignLabel.PLUS, battery[:2], spec,
+        observable=Observable.P),
+    "eigenbra_conjugation": lambda model, spec, battery:
+        check_eigenbra_conjugation(model, 1.0, Channel.LEFT, SignLabel.PLUS,
+                                   battery[:3], spec),
+    "delta_normalization_energy": lambda model, spec, battery:
+        check_delta_normalization(model, SignLabel.PLUS, (5.0, 0.5),
+                                  Channel.LEFT, spec, mode="energy"),
+    "delta_normalization_momentum": lambda model, spec, battery:
+        check_delta_normalization(model, SignLabel.PLUS, (2.0, 0.5),
+                                  Channel.LEFT, spec, mode="momentum"),
+    "commutators": lambda model, spec, battery: check_commutators(
+        battery[0], battery[1], spec),
+    "invariance_battery": lambda model, spec, battery:
+        check_invariance_battery(battery[0], 4, spec),
+    "non_member_flagged": lambda model, spec, battery: check_non_member(
+        model, spec),
+}
+SUITE_CHECK_NAMES = tuple(_SUITE)
 
 
 def run_default_suite(model: BarrierModel, spec: QuadratureSpec,
@@ -467,27 +482,7 @@ def run_default_suite(model: BarrierModel, spec: QuadratureSpec,
             raise DomainError(f"unknown check {name!r}; choose from "
                               + ", ".join(SUITE_CHECK_NAMES))
     battery = default_battery(model)
-    thunks = {
-        "eigen_equation_h": lambda: check_eigen_equation(
-            model, 1.0, Channel.LEFT, SignLabel.PLUS, battery, spec,
-            observable=Observable.H),
-        "eigen_equation_p": lambda: check_eigen_equation(
-            model, 2.0, Channel.LEFT, SignLabel.PLUS, battery[:2], spec,
-            observable=Observable.P),
-        "eigenbra_conjugation": lambda: check_eigenbra_conjugation(
-            model, 1.0, Channel.LEFT, SignLabel.PLUS, battery[:3], spec),
-        "delta_normalization_energy": lambda: check_delta_normalization(
-            model, SignLabel.PLUS, (5.0, 0.5), Channel.LEFT, spec,
-            mode="energy"),
-        "delta_normalization_momentum": lambda: check_delta_normalization(
-            model, SignLabel.PLUS, (2.0, 0.5), Channel.LEFT, spec,
-            mode="momentum"),
-        "commutators": lambda: check_commutators(battery[0], battery[1], spec),
-        "invariance_battery": lambda: check_invariance_battery(
-            battery[0], 4, spec),
-        "non_member_flagged": lambda: check_non_member(model, spec),
-    }
-    reports = [thunks[name]() for name in names]
+    reports = [_SUITE[name](model, spec, battery) for name in names]
     if tolerance is not None:
         reports = [
             drep(r, tolerance=tolerance,

@@ -477,7 +477,8 @@ def test_exterior_weights_reproduce_wave_rows(sign):
     for channel in Channel:
         rows = _wave_grid(MODEL, sol, channel, sign, x, include_prefactor=False)
         scale = np.max(np.abs(rows), axis=1, keepdims=True)
-        for cols, weights in zip(sides, tr._exterior_weights(sol, sign)):
+        table = eigenbasis._exterior_weights(sol, sign)
+        for cols, weights in zip(sides, table):
             w_a, w_b = (np.broadcast_to(w, sol.k.shape)[:, None]
                         for w in weights[channel])
             got = w_a * wave[:, cols] + w_b * np.conj(wave[:, cols])

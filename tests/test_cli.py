@@ -167,6 +167,9 @@ def test_probe_rejects_bad_window(capsys):
 @pytest.mark.parametrize("argv", [
     ("transform", "--kmax", "inf"),
     ("probe", "--tol", "nan"),
+    ("transform", "--center", "nan", "--energies", "1,2"),
+    ("reconstruct", "--center", "nan"),
+    ("transform", "--momentum", "inf"),
 ])
 def test_non_finite_spec_flags_are_usage_errors(capsys, argv):
     code, _, err = _run(capsys, *argv)

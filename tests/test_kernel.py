@@ -14,7 +14,8 @@ from barrierkets import (
     scattering_wave,
     solve_matching,
 )
-from barrierkets.eigenbasis import _wave_grid
+from barrierkets.eigenbasis import _exterior_weights, _interior_waves, \
+    _wave_grid
 from barrierkets.scattering import SMALL_PHASE, _solve
 
 MODELS = [
@@ -84,6 +85,25 @@ def test_grid_rows_match_scattering_wave(model):
                     assert np.all(np.abs(rows[i] - ref)
                                   <= 1e-14 * np.maximum(np.abs(ref), 1.0)), \
                         f"{channel} {sign} at E={energy!r}"
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_interior_waves_meet_the_exterior_table(model):
+    # The shell energies and both sides of the propagator switch.
+    energies = _energies(model)[2:11]
+    sol = _solve(model, energies)
+    steps = np.array([model.a, model.b])
+    wave = np.exp(1j * np.outer(sol.k, steps))
+    for channel in Channel:
+        psi, dpsi = _interior_waves(model, sol, channel, steps)
+        for col, weights in enumerate(_exterior_weights(sol, SignLabel.PLUS)):
+            w_a, w_b = (np.broadcast_to(w, sol.k.shape)
+                        for w in weights[channel])
+            e = wave[:, col]
+            value = w_a * e + w_b * np.conj(e)
+            slope = 1j * sol.k * (w_a * e - w_b * np.conj(e))
+            assert np.all(abs(psi[:, col] - value) <= 1e-14 * abs(value))
+            assert np.all(abs(dpsi[:, col] - slope) <= 1e-14 * abs(slope))
 
 
 def test_one_opaque_energy_fails_the_whole_array():

@@ -186,6 +186,29 @@ def test_spec_refuses_non_finite_fields(field, value):
         QuadratureSpec(**{field: value})
 
 
+@pytest.mark.parametrize("integrate, kwargs", [
+    (integrate_energy, {"e_hi": math.nan}),
+    (integrate_energy, {"e_hi": -math.inf}),
+    (integrate_energy, {"freq_hint": math.inf}),
+    (integrate_line, {"freq_hint": math.nan}),
+    (integrate_line, {"freq_hint": math.inf}),
+])
+def test_refuses_nan_window_and_non_finite_hint(spec, integrate, kwargs):
+    # min(k_max, nan) is k_max, and math.ceil raises untyped errors on a
+    # non-finite hint, so these would otherwise integrate the wrong window
+    # or fail outside the package's error types.
+    with pytest.raises(DomainError):
+        integrate(lambda x: np.ones_like(x) + 0j, spec, **kwargs)
+
+
+def test_infinite_e_hi_reaches_k_max(spec):
+    def g(e):
+        return np.exp(-e) + 0j
+
+    whole = integrate_energy(g, spec)
+    assert integrate_energy(g, spec, e_hi=math.inf) == whole
+
+
 def test_spec_accepts_any_int_budget():
     assert QuadratureSpec(max_subdivisions=10 ** 400).max_subdivisions == 10 ** 400
 

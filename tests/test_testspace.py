@@ -206,6 +206,11 @@ def test_build_rejects_bad_packets():
     with pytest.raises(DomainError):
         build_test_function(MODEL, GaussianPacket(center=0.0, width=1.0,
                                                   poly_degree=-1))
+    for bad in ({"center": math.nan}, {"center": math.inf},
+                {"momentum": math.nan}, {"momentum": -math.inf}):
+        with pytest.raises(DomainError, match="must be finite"):
+            build_test_function(MODEL, GaussianPacket(
+                **{"center": 0.0, "width": 1.0, **bad}))
 
 
 @given(st.complex_numbers(max_magnitude=3.0, allow_nan=False,

@@ -170,6 +170,21 @@ def test_momentum_synthesis_of_no_positions_is_empty(f):
     assert out.shape == (0,) and out.dtype == complex
 
 
+@pytest.mark.parametrize("name", ["evaluate", "synthesize_energy",
+                                  "synthesize_momentum"])
+def test_positions_of_any_shape(f, amp, name):
+    call = {
+        "evaluate": lambda x: evaluate(f, x),
+        "synthesize_energy": lambda x: synthesize_energy(amp, x, SPEC),
+        "synthesize_momentum": lambda x: synthesize_momentum(
+            momentum_transform(f, "analysis", SPEC), x, SPEC),
+    }[name]
+    x = np.linspace(-21.0, -19.0, 6)
+    grid = call(x.reshape(2, 3))
+    assert grid.shape == (2, 3)
+    assert np.array_equal(grid, call(x).reshape(2, 3))
+
+
 def test_uncertainty_product_is_minimal():
     plain = build_test_function(MODEL, GaussianPacket(center=-20.0, width=1.0))
     q_mean, q_spread = expectation_uncertainty(Observable.Q, plain, SPEC)
