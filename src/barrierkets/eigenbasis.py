@@ -6,9 +6,10 @@ plus family carries incoming asymptotics, the minus family is its pointwise
 complex conjugate.  Both are delta-normalized in energy through the
 prefactor sqrt(m / (2 pi k hbar^2)).  Momentum eigenfunctions are the plane
 waves e^{ipx/hbar} / sqrt(2 pi hbar).  Every plane wave in the package is
-formed by _cis, one cos and one sin per phase.  Sums of plane waves over
-the nodes of composite Gauss-Legendre panels (the Fourier caches of the
-transforms and both syntheses) go through _panel_waves, which forms the
+formed by scattering._cis, one cos and one sin per phase, in place of a
+complex exp.  Sums of plane waves over the nodes of composite
+Gauss-Legendre panels (the Fourier caches of the transforms and both
+syntheses) go through _panel_waves, which forms the
 waves of one panel from its middle's wave and one table per panel width
 instead of one cos and one sin per (node, frequency).  The Gauss-Legendre
 offsets are mirrored about 0 bit for bit, and _cis(-phi) is conj(_cis(phi))
@@ -46,7 +47,7 @@ import numpy as np
 
 from .model import BarrierModel
 from .scattering import SMALL_PHASE, Channel, ScatteringSolution, SignLabel, \
-    _propagate, _solve
+    _cis, _cos_sinc, _propagate, _solve
 
 __all__ = [
     "energy_prefactor",
@@ -68,14 +69,6 @@ def energy_prefactor(model: BarrierModel, k):
 def _plane_wave_norm(hbar: float) -> float:
     """1 / sqrt(2 pi hbar), the delta normalization of the plane waves."""
     return 1.0 / math.sqrt(2.0 * math.pi * hbar)
-
-
-def _cis(phase: np.ndarray) -> np.ndarray:
-    """exp(i phase) for a real phase: one cos and one sin, no complex exp."""
-    out = np.empty(phase.shape, dtype=complex)
-    np.cos(phase, out=out.real)
-    np.sin(phase, out=out.imag)
-    return out
 
 
 def _panel_waves(coef: np.ndarray, mid: np.ndarray, half: np.ndarray,
@@ -163,9 +156,10 @@ def _interior_waves(model: BarrierModel, sol: ScatteringSolution,
             far, ik = model.b, 1j * k[prop, None]
         else:
             far, ik = model.a, -1j * k[prop, None]
-        psi0 = sol.t[prop, None] * np.exp(ik * far)
-        psi[prop], dpsi[prop] = _propagate(psi0, ik * psi0, kappa[prop],
-                                           sol.kappa_sq[prop, None], x - far)
+        psi0 = sol.t[prop, None] * _cis(ik.imag * far)
+        psi[prop], dpsi[prop] = _propagate(psi0, ik * psi0,
+                                           sol.kappa_sq[prop, None],
+                                           *_cos_sinc(kappa[prop], x - far))
     return psi, dpsi
 
 

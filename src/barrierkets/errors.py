@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check that refuses
+a malformed number with one."""
+
+import math
+import numbers
 
 
 class DomainError(ValueError):
@@ -23,3 +27,14 @@ class CapabilityError(RuntimeError):
 
 class ConditioningError(RuntimeError):
     """An intermediate linear problem is too ill-conditioned to trust."""
+
+
+def require_finite(name: str, value) -> None:
+    """Raise DomainError unless value is a finite real number.
+
+    Strings, None and bools are refused, as are nan and inf.  The bounds
+    are compared, not passed to math.isfinite, so any int is accepted.
+    """
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not -math.inf < value < math.inf):
+        raise DomainError(f"{name} must be finite and real, got {value!r}")

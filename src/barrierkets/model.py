@@ -9,13 +9,12 @@ all their derivatives, so no smeared quantity depends on the choice.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_finite
 
 __all__ = [
     "Observable",
@@ -47,9 +46,11 @@ class BarrierModel:
     mass: float = 0.5
 
     def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b) and self.a < self.b):
+        for f in fields(self):
+            require_finite(f.name, getattr(self, f.name))
+        if not self.a < self.b:
             raise DomainError(f"barrier edges must satisfy a < b, got a={self.a}, b={self.b}")
-        if not (math.isfinite(self.v0) and self.v0 >= 0.0):
+        if not self.v0 >= 0.0:
             raise DomainError(f"barrier height must be >= 0, got {self.v0}")
         if not (self.hbar > 0.0 and self.mass > 0.0):
             raise DomainError("hbar and mass must be positive")

@@ -65,7 +65,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError
+from .errors import AccuracyError, DomainError, require_finite
 
 __all__ = [
     "QuadratureSpec",
@@ -111,10 +111,9 @@ class QuadratureSpec:
 
     def __post_init__(self):
         # nan and inf get past every comparison below, so they are refused
-        # first; a comparison, unlike math.isfinite, accepts any int.
+        # first.
         for name, value in asdict(self).items():
-            if not -math.inf < value < math.inf:
-                raise DomainError(f"{name} must be finite, got {value!r}")
+            require_finite(name, value)
         if self.abs_tol <= 0.0 or self.rel_tol < 0.0:
             raise DomainError("abs_tol must be positive and rel_tol non-negative")
         if self.spatial_radius <= 0.0 or self.k_max <= 0.0:

@@ -1,9 +1,9 @@
 """Transmission and reflection amplitudes of the rectangular barrier.
 
 The solve carries boundary data (psi, psi') across the barrier with
-_propagate, the pair cos(kappa d) and d*sinc(kappa d), both entire in
-kappa^2, so the propagating, evanescent and threshold regimes share one
-code path.  Interior amplitudes are additionally extracted in the
+_propagate, by the pair cos(kappa d) and d*sinc(kappa d), both entire in
+kappa^2 and formed once for both incidences, so the propagating,
+evanescent and threshold regimes share one code path.  Interior amplitudes are additionally extracted in the
 interface-scaled basis {exp(i kappa (x-a)), exp(-i kappa (x-b))}, whose
 members stay bounded inside the barrier for Im kappa >= 0; that
 representation is what downstream evaluation uses when the barrier is
@@ -114,6 +114,14 @@ class ScatteringSolution:
         return self._unscaled(self.sc_r[1], 1)
 
 
+def _cis(phase: np.ndarray) -> np.ndarray:
+    """exp(i phase) for a real phase: one cos and one sin, no complex exp."""
+    out = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    return out
+
+
 def _sinc(z):
     """sin(z) / z on complex arrays, by its Taylor series near 0."""
     small = np.abs(z) < 1e-4
@@ -123,11 +131,19 @@ def _sinc(z):
                     np.sin(safe) / safe)
 
 
-def _propagate(psi, dpsi, kappa, kappa_sq, dx):
-    """(psi, psi') inside the barrier carried a distance dx, by the pair
-    cos(kappa dx) and dx sinc(kappa dx), both entire in kappa^2."""
+def _cos_sinc(kappa, dx):
+    """The pair cos(kappa dx) and dx sinc(kappa dx), both entire in kappa^2.
+
+    kappa (-dx) is -(kappa dx) exactly, so the pair for -dx is
+    (cos, -sinc) bit for bit.
+    """
     z = kappa * dx
-    cos, sinc = np.cos(z), dx * _sinc(z)
+    return np.cos(z), dx * _sinc(z)
+
+
+def _propagate(psi, dpsi, kappa_sq, cos, sinc):
+    """(psi, psi') inside the barrier carried a distance dx, given the pair
+    _cos_sinc(kappa, dx)."""
     return cos * psi + sinc * dpsi, cos * dpsi - kappa_sq * sinc * psi
 
 
@@ -151,11 +167,12 @@ def _solve(model: BarrierModel, energies: np.ndarray) -> ScatteringSolution:
             "floating-point range")
 
     ik = 1j * k
+    cos, sinc = _cos_sinc(kappa, d)
 
     # Left incidence: unit transmitted wave at b, propagated back to a.
-    eb = np.exp(ik * b)
-    psi_a, dpsi_a = _propagate(eb, ik * eb, kappa, kappa_sq, -d)
-    ea = np.exp(ik * a)
+    eb = _cis(k * b)
+    psi_a, dpsi_a = _propagate(eb, ik * eb, kappa_sq, cos, -sinc)
+    ea = _cis(k * a)
     c_in = 0.5 * (psi_a + dpsi_a / ik) / ea
     c_ref = 0.5 * (psi_a - dpsi_a / ik) * ea
     _check_matching(c_in, energies, "left")
@@ -163,8 +180,8 @@ def _solve(model: BarrierModel, energies: np.ndarray) -> ScatteringSolution:
     r_l = c_ref / c_in
 
     # Right incidence: unit transmitted wave at a, propagated forward to b.
-    ea_m = np.exp(-ik * a)
-    psi_b2, dpsi_b2 = _propagate(ea_m, -ik * ea_m, kappa, kappa_sq, d)
+    ea_m = _cis(-k * a)
+    psi_b2, dpsi_b2 = _propagate(ea_m, -ik * ea_m, kappa_sq, cos, sinc)
     c_in2 = 0.5 * (psi_b2 - dpsi_b2 / ik) * eb
     c_ref2 = 0.5 * (psi_b2 + dpsi_b2 / ik) / eb
     _check_matching(c_in2, energies, "right")

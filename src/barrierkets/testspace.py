@@ -47,14 +47,16 @@ fall inside [a, b].
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapabilityError, DomainError
+from .errors import CapabilityError, DomainError, require_finite
 from .model import BarrierModel, Observable
 from .quadrature import QuadratureSpec, _run
+from .scattering import _cis
 
 __all__ = [
     "TestFunction",
@@ -286,7 +288,7 @@ def _block_values(blk: _Block, rows: _Rows, model: BarrierModel,
         vals.real = acc[0]
         vals.imag = acc[1]
         if blk.phase:
-            vals *= np.exp(1j * (blk.phase * xc))
+            vals *= _cis(blk.phase * xc)
         if far is not None:
             vals[far] = 0.0
     return out
@@ -507,6 +509,9 @@ class GaussianPacket:
         unknown = set(data) - {"kind", "center", "width", "momentum", "poly_degree"}
         if unknown:
             raise DomainError(f"unknown packet keys: {sorted(unknown)}")
+        missing = {"center", "width"} - set(data)
+        if missing:
+            raise DomainError(f"missing packet keys: {sorted(missing)}")
         return cls(center=data["center"], width=data["width"],
                    momentum=data.get("momentum", 0.0),
                    poly_degree=data.get("poly_degree", 0))
@@ -514,13 +519,14 @@ class GaussianPacket:
 
 def build_test_function(model: BarrierModel, packet: GaussianPacket) -> TestFunction:
     """Construct a windowed Gaussian packet as a TestFunction."""
-    if not (packet.width > 0.0 and math.isfinite(packet.width)):
+    for name in ("center", "width", "momentum"):
+        require_finite(f"packet {name}", getattr(packet, name))
+    if not packet.width > 0.0:
         raise DomainError(f"packet width must be positive, got {packet.width}")
-    if not (math.isfinite(packet.center) and math.isfinite(packet.momentum)):
-        raise DomainError("packet center and momentum must be finite, got "
-                          f"{packet.center} and {packet.momentum}")
-    if packet.poly_degree < 0:
-        raise DomainError("poly_degree must be >= 0")
+    degree = packet.poly_degree
+    if isinstance(degree, bool) or not isinstance(degree, numbers.Integral) \
+            or degree < 0:
+        raise DomainError(f"poly_degree must be an integer >= 0, got {degree!r}")
     # (x - center)^degree is u^degree in the block's shifted variable.
     coef = np.zeros((packet.poly_degree + 1, 1, 1), dtype=complex)
     coef[-1, 0, 0] = 1.0

@@ -142,8 +142,8 @@ from .quadrature import (
     integrate_energy,
     integrate_line,
 )
-from .scattering import Channel, SignLabel, _sinc, _solve
-from .eigenbasis import _cis, _exterior_weights, _interior_waves, \
+from .scattering import Channel, SignLabel, _cis, _sinc, _solve
+from .eigenbasis import _exterior_weights, _interior_waves, \
     _panel_waves, _plane_wave_norm, _wave_grid, energy_prefactor
 from .testspace import TestFunction, _member, _product, _support, evaluate, \
     inner_product

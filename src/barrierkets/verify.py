@@ -21,7 +21,7 @@ import numpy as np
 from .errors import CapabilityError, DomainError
 from .model import BarrierModel, Observable
 from .quadrature import QuadratureSpec, _run, integrate_energy, integrate_line
-from .scattering import Channel, SignLabel, _solve
+from .scattering import Channel, SignLabel, _cis, _solve
 from .eigenbasis import _plane_wave_norm, _wave_grid
 from .testspace import (
     _SUPPORT_CUTOFF_LOG,
@@ -270,7 +270,7 @@ def _delta_momentum(model: BarrierModel, probe, spec: QuadratureSpec):
 
     def psi_rows(x):
         def g(p):
-            return amp_in(p)[:, None] * np.exp(1j * np.outer(p, x) / hbar) * scale
+            return amp_in(p)[:, None] * _cis(np.outer(p, x) / hbar) * scale
 
         vals, _, _ = integrate_line(
             g, ispec, lo=p_lo, hi=p_hi,
@@ -280,7 +280,7 @@ def _delta_momentum(model: BarrierModel, probe, spec: QuadratureSpec):
     grid = np.linspace(center - 2.0 * width, center + 2.0 * width, 11)
 
     def integrand(x):
-        kernel = np.exp(-1j * np.outer(x, grid) / hbar) * scale
+        kernel = _cis(-np.outer(x, grid) / hbar) * scale
         return kernel * psi_rows(x)[:, None]
 
     vals, _, _ = integrate_line(

@@ -1,11 +1,15 @@
 """Command-line interface: schemas, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from barrierkets.cli import main
+import barrierkets
+from barrierkets.cli import _COMMANDS, main
 
 COEFFS_HEADER = ("E,k,re_T,im_T,re_Rl,im_Rl,re_Rr,im_Rr,"
                  "abs_T2,abs_Rl2,unitarity_defect")
@@ -68,9 +72,61 @@ def test_flags_win_over_config(capsys, tmp_path):
 def test_config_rejects_unknown_keys(capsys, tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"surprise": 1}))
-    code, _, err = _run(capsys, "coeffs", "--config", str(cfg))
+    for command in _COMMANDS:
+        code, _, err = _run(capsys, command, "--config", str(cfg))
+        assert code == 2
+        assert "surprise" in err
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["coeffs"], {"count": "abc"}),
+    (["coeffs"], {"energies": "abc"}),
+    (["coeffs"], {"e_min": None}),
+    (["coeffs"], {"model": {"a": "x"}}),
+    (["verify"], {"checks": 5}),
+    (["verify"], {"checks": ["commutators"], "tolerance": "x"}),
+    (["probe"], {"e_hi": None}),
+    (["probe"], {"packet": {"center": "x"}}),
+    (["probe"], {"packet": {"width": None}}),
+    (["transform"], {"quadrature": {"k_max": "x"}}),
+])
+def test_malformed_config_values_are_usage_errors(capsys, tmp_path, argv,
+                                                  config):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config))
+    code, _, err = _run(capsys, *argv, "--config", str(cfg))
     assert code == 2
-    assert "surprise" in err
+    assert err.startswith("error: ")
+
+
+# Flags for the options whose default is not a config value.
+_REQUIRED_FLAGS = {"eigfun": ["--energy", "4"],
+                   "verify": ["--checks", "commutators"]}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_config_of_defaults_changes_nothing(capsys, tmp_path, command):
+    defaults = {opt.key: opt.default for opt in _COMMANDS[command][2]
+                if opt.default is not None}
+    cfg = tmp_path / "defaults.json"
+    cfg.write_text(json.dumps(defaults))
+    flags = _REQUIRED_FLAGS.get(command, [])
+    plain = _run(capsys, command, *flags)
+    assert plain[0] == 0
+    assert _run(capsys, command, "--config", str(cfg), *flags) == plain
+
+
+def test_module_entry_point_reports_bad_config_without_traceback(tmp_path):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"count": "abc"}))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(barrierkets.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "barrierkets.cli", "coeffs", "--config",
+         str(cfg)], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_eigfun_schema_and_free_modulus(capsys, tmp_path):

@@ -25,6 +25,10 @@ def test_defaults():
     {"hbar": 0.0},
     {"mass": -2.0},
     {"v0": math.inf},
+    {"a": "x"},
+    {"b": None},
+    {"hbar": math.inf},
+    {"mass": math.nan},
 ])
 def test_rejects_bad_parameters(kwargs):
     with pytest.raises(DomainError):

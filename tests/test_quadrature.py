@@ -176,12 +176,13 @@ def test_spec_validation():
         QuadratureSpec(max_subdivisions=2)
 
 
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, "x", None])
 @pytest.mark.parametrize("field", ["abs_tol", "rel_tol", "spatial_radius",
                                    "k_max", "max_subdivisions"])
 def test_spec_refuses_non_finite_fields(field, value):
     # Every comparison with nan is false and inf passes the positivity
-    # tests, so these would otherwise slip through validation.
+    # tests, so these would otherwise slip through validation; a string or
+    # None would fail the comparisons with a TypeError.
     with pytest.raises(DomainError, match=field):
         QuadratureSpec(**{field: value})
 

@@ -198,16 +198,23 @@ def test_packet_serialization_round_trip():
     with pytest.raises(DomainError):
         GaussianPacket.from_dict({"kind": "gaussian_packet", "center": 0.0,
                                   "width": 1.0, "spin": 1})
+    for missing in ("center", "width"):
+        data = {"kind": "gaussian_packet", "center": 0.0, "width": 1.0}
+        del data[missing]
+        with pytest.raises(DomainError, match=missing):
+            GaussianPacket.from_dict(data)
 
 
 def test_build_rejects_bad_packets():
     with pytest.raises(DomainError):
         build_test_function(MODEL, GaussianPacket(center=0.0, width=0.0))
-    with pytest.raises(DomainError):
-        build_test_function(MODEL, GaussianPacket(center=0.0, width=1.0,
-                                                  poly_degree=-1))
+    for degree in (-1, 1.5):
+        with pytest.raises(DomainError):
+            build_test_function(MODEL, GaussianPacket(center=0.0, width=1.0,
+                                                      poly_degree=degree))
     for bad in ({"center": math.nan}, {"center": math.inf},
-                {"momentum": math.nan}, {"momentum": -math.inf}):
+                {"momentum": math.nan}, {"momentum": -math.inf},
+                {"center": "x"}, {"width": None}):
         with pytest.raises(DomainError, match="must be finite"):
             build_test_function(MODEL, GaussianPacket(
                 **{"center": 0.0, "width": 1.0, **bad}))
