@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the check that refuses
+"""Exception types shared across the package, and the checks that refuse
 a malformed number with one."""
 
 import math
@@ -38,3 +38,14 @@ def require_finite(name: str, value) -> None:
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
             or not -math.inf < value < math.inf):
         raise DomainError(f"{name} must be finite and real, got {value!r}")
+
+
+def finite_float(name: str, value) -> float:
+    """value as a float, refusing with DomainError what require_finite
+    refuses and an int beyond the range of floats."""
+    require_finite(name, value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError(f"{name} must be finite and real, got an int "
+                          f"beyond float range") from None

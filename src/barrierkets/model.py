@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, require_finite
+from .errors import DomainError, finite_float
 
 __all__ = [
     "Observable",
@@ -46,8 +46,11 @@ class BarrierModel:
     mass: float = 0.5
 
     def __post_init__(self):
+        # Every field is held as a float; an int beyond float range is
+        # refused here rather than overflowing in the first formula.
         for f in fields(self):
-            require_finite(f.name, getattr(self, f.name))
+            object.__setattr__(self, f.name,
+                               finite_float(f.name, getattr(self, f.name)))
         if not self.a < self.b:
             raise DomainError(f"barrier edges must satisfy a < b, got a={self.a}, b={self.b}")
         if not self.v0 >= 0.0:

@@ -7,8 +7,10 @@ all panels of a round are evaluated in one call of a panel evaluator, which
 receives the panels' middles and half-widths and the nodes and widths of
 their parts, and returns the parts' sums.  The integrals of this module use
 the pointwise evaluator _eval_panels, which samples an integrand at every
-node; the syntheses of the transforms pass one that contracts plane waves
-panel by panel.  Panel geometry, acceptance, refinement and the stall rule
+node; the seminorms of the test-function space wrap it so that the words
+of one order share what they sample on their common starting panels, and
+the syntheses of the transforms pass one that contracts plane waves panel
+by panel.  Panel geometry, acceptance, refinement and the stall rule
 do not depend on the evaluator.  The starting panels span at most 48 rad
 at freq_hint, with at least four of them, and a caller may add break
 points as extra starting edges: the integrals of test functions break at
@@ -59,13 +61,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, require_finite
+from .errors import AccuracyError, DomainError, finite_float, \
+    require_finite
 
 __all__ = [
     "QuadratureSpec",
@@ -111,9 +114,14 @@ class QuadratureSpec:
 
     def __post_init__(self):
         # nan and inf get past every comparison below, so they are refused
-        # first.
-        for name, value in asdict(self).items():
-            require_finite(name, value)
+        # first.  The float fields are held as floats, refusing an int
+        # beyond float range; the panel budget may be any int.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float":
+                object.__setattr__(self, f.name, finite_float(f.name, value))
+            else:
+                require_finite(f.name, value)
         if self.abs_tol <= 0.0 or self.rel_tol < 0.0:
             raise DomainError("abs_tol must be positive and rel_tol non-negative")
         if self.spatial_radius <= 0.0 or self.k_max <= 0.0:

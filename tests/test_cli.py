@@ -89,6 +89,12 @@ def test_config_rejects_unknown_keys(capsys, tmp_path):
     (["probe"], {"packet": {"center": "x"}}),
     (["probe"], {"packet": {"width": None}}),
     (["transform"], {"quadrature": {"k_max": "x"}}),
+    # Ints beyond float range, which JSON carries.
+    (["coeffs", "--energies", "1"], {"model": {"b": 10 ** 400}}),
+    (["transform", "--energies", "1"],
+     {"packet": {"width": 1.0, "center": 10 ** 400}}),
+    (["transform", "--energies", "1", "--center", "-5", "--width", "1"],
+     {"quadrature": {"k_max": 10 ** 400}}),
 ])
 def test_malformed_config_values_are_usage_errors(capsys, tmp_path, argv,
                                                   config):

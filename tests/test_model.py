@@ -29,10 +29,18 @@ def test_defaults():
     {"b": None},
     {"hbar": math.inf},
     {"mass": math.nan},
+    {"b": 10 ** 400},
+    {"v0": -10 ** 400},
 ])
 def test_rejects_bad_parameters(kwargs):
     with pytest.raises(DomainError):
         BarrierModel(**kwargs)
+
+
+def test_fields_are_held_as_floats():
+    m = BarrierModel(a=-1, b=2, v0=3, hbar=1, mass=1)
+    assert all(type(v) is float for v in m.to_dict().values())
+    assert m == BarrierModel(a=-1.0, b=2.0, v0=3.0, hbar=1.0, mass=1.0)
 
 
 def test_serialization_round_trip():

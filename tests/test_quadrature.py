@@ -149,22 +149,23 @@ def test_stalled_refinement_raises_early(monkeypatch):
     # cap, which allows 64 new nodes per panel, would stop it.
     spec = QuadratureSpec()
     f = build_test_function(BarrierModel(), GaussianPacket(-5.0, 1.0))
-    evaluate = testspace.evaluate
-    evaluations = []
+    values = testspace.TestFunction._values
+    points = {}
 
-    def counting_evaluate(g, x):
-        evaluations.append(np.size(x))
-        return evaluate(g, x)
+    def counting_values(g, x, n):
+        points[n] = points.get(n, 0) + np.size(x)
+        return values(g, x, n)
 
-    monkeypatch.setattr(testspace, "evaluate", counting_evaluate)
+    monkeypatch.setattr(testspace.TestFunction, "_values", counting_values)
     with pytest.raises(AccuracyError) as exc_info:
         seminorm(f, 0, 0, 8, spec)
     err = exc_info.value
     # The squared seminorm, 3.8334309141e27 ** 2 by runs at looser rel_tol.
     assert err.value.real == pytest.approx(1.46952e55, rel=1e-5)
     assert math.isfinite(err.error) and err.error > 0.0
-    # The integrand evaluates f's image twice per node.
-    assert sum(evaluations) // 2 < 64 * spec.max_subdivisions // 4
+    # The seminorm samples each derivative of f it reads once per node, so
+    # the node count is the most points any derivative was sampled at.
+    assert 0 < max(points.values(), default=0) < 64 * spec.max_subdivisions // 4
 
 
 def test_spec_validation():
@@ -212,6 +213,14 @@ def test_infinite_e_hi_reaches_k_max(spec):
 
 def test_spec_accepts_any_int_budget():
     assert QuadratureSpec(max_subdivisions=10 ** 400).max_subdivisions == 10 ** 400
+
+
+@pytest.mark.parametrize("field", ["abs_tol", "rel_tol", "spatial_radius",
+                                   "k_max"])
+def test_spec_refuses_ints_beyond_float_range(field):
+    with pytest.raises(DomainError, match=field):
+        QuadratureSpec(**{field: 10 ** 400})
+    assert type(getattr(QuadratureSpec(**{field: 1}), field)) is float
 
 
 def test_spec_serialization_round_trip():

@@ -214,7 +214,8 @@ def test_build_rejects_bad_packets():
                                                       poly_degree=degree))
     for bad in ({"center": math.nan}, {"center": math.inf},
                 {"momentum": math.nan}, {"momentum": -math.inf},
-                {"center": "x"}, {"width": None}):
+                {"center": "x"}, {"width": None}, {"width": 10 ** 400},
+                {"momentum": 10 ** 400}, {"center": -10 ** 400}):
         with pytest.raises(DomainError, match="must be finite"):
             build_test_function(MODEL, GaussianPacket(
                 **{"center": 0.0, "width": 1.0, **bad}))
@@ -301,15 +302,39 @@ def _count_work(monkeypatch):
     return calls, nodes
 
 
-def test_seminorm_samples_its_image_once_per_node(monkeypatch):
+def _count_values(monkeypatch):
+    """Record each TestFunction._values call as (function, derivative
+    order, copy of the points), and the points of every round that the
+    seminorm's panel evaluator integrates."""
+    calls, nodes = [], []
+    values, eval_panels = ts.TestFunction._values, ts._eval_panels
+
+    def counting_values(f, x, n):
+        calls.append((f, n, x.copy()))
+        return values(f, x, n)
+
+    def counting_panels(f, *args):
+        def counted(x):
+            nodes.append(np.size(x))
+            return f(x)
+        return eval_panels(counted, *args)
+
+    monkeypatch.setattr(ts.TestFunction, "_values", counting_values)
+    monkeypatch.setattr(ts, "_eval_panels", counting_panels)
+    return calls, nodes
+
+
+def test_seminorm_samples_each_derivative_once_per_node(monkeypatch):
     f = build_test_function(MODEL, GATE_PACKET)
-    image = f
-    for observable in (Observable.H, Observable.Q, Observable.P):
-        image = apply_observable(observable, image)
-    calls, nodes = _count_work(monkeypatch)
+    calls, nodes = _count_values(monkeypatch)
     seminorm(f, 1, 1, 1, SPEC)
-    assert all(g is image for g, _ in calls)
-    assert sum(points for _, points in calls) == sum(nodes) > 0
+    assert calls and all(g is f for g, _, _ in calls)
+    # PQH f reads f^(s) for s <= 3 only, each at every node exactly once.
+    orders = {n for _, n, _ in calls}
+    assert orders <= {0, 1, 2, 3}
+    for s in orders:
+        x = np.concatenate([x for _, n, x in calls if n == s])
+        assert x.size == np.unique(x).size == sum(nodes) > 0
 
 
 def test_position_overlap_samples_f_once_per_node(monkeypatch):
@@ -348,37 +373,48 @@ def test_equal_but_distinct_functions_are_both_sampled(monkeypatch):
     assert inner_product(f, f, SPEC) == cross
 
 
-def test_c09_table_matches_two_sample_reference():
+def _image(f, n, m, l):
+    """The symbolic image P^n Q^m H^l f."""
+    g = f
+    for observable, count in ((Observable.H, l), (Observable.Q, m),
+                              (Observable.P, n)):
+        for _ in range(count):
+            g = apply_observable(observable, g)
+    return g
+
+
+def test_c09_table_matches_dense_reference():
     f = default_battery(MODEL)[1]
-    radius = SPEC.spatial_radius
-    for n, m, l in C09_ORDERS:
-        g = f
-        for observable, count in ((Observable.H, l), (Observable.Q, m),
-                                  (Observable.P, n)):
-            for _ in range(count):
-                g = apply_observable(observable, g)
-        lo, hi = g.support_interval(radius)
-        ref = integrate_line(
-            lambda x: np.conj(evaluate(g, x)) * evaluate(g, x), SPEC,
-            lo=max(lo, -radius), hi=min(hi, radius),
-            freq_hint=2.0 * g.max_phase()).value
-        assert seminorm(f, n, m, l, SPEC) == math.sqrt(max(ref.real, 0.0))
+    table = [seminorm(f, n, m, l, SPEC) for n, m, l in C09_ORDERS]
+    for (n, m, l), value in zip(C09_ORDERS, table):
+        ref = _dense_split(_image(f, n, m, l))
+        assert abs(value ** 2 - ref) <= max(SPEC.abs_tol, SPEC.rel_tol * ref)
+        # The same bits on a fresh function: no value depends on what was
+        # asked of f before.
+        fresh = default_battery(MODEL)[1]
+        assert seminorm(fresh, n, m, l, SPEC) == value
 
 
-def _dense_split(g):
-    """Integral of |g|^2 over g's support by a composite 24-point
-    Gauss-Legendre rule, about 2000 nodes per unit length, cut at a and b."""
+def _dense(values, lo, hi, per_unit=2000):
+    """Integral of |values(x)|^2 over [lo, hi] by a composite 24-point
+    Gauss-Legendre rule, about per_unit nodes per unit length, cut at a
+    and b."""
     x24, w24 = np.polynomial.legendre.leggauss(24)
-    lo, hi = g.support_interval(SPEC.spatial_radius)
     cuts = [lo] + [p for p in (MODEL.a, MODEL.b) if lo < p < hi] + [hi]
     total = 0.0
     for a, b in zip(cuts[:-1], cuts[1:]):
-        n = math.ceil((b - a) * 2000 / 24)
+        n = math.ceil((b - a) * per_unit / 24)
         half = 0.5 * (b - a) / n
         mid = a + 2.0 * half * (np.arange(n) + 0.5)
-        v = evaluate(g, (mid[:, None] + half * x24).ravel())
+        v = values((mid[:, None] + half * x24).ravel())
         total += half * float(np.sum((np.abs(v) ** 2).reshape(n, 24) @ w24))
     return total
+
+
+def _dense_split(g):
+    """_dense of g over g's support."""
+    return _dense(lambda x: evaluate(g, x),
+                  *g.support_interval(SPEC.spatial_radius))
 
 
 # Seminorms of real width-w packets whose image H^l f peaks next to a step.
@@ -419,7 +455,105 @@ def test_clipped_blocks_out_of_reach_are_neither_planned_nor_sampled(
     monkeypatch.setattr(ts, "_rows", counting_rows)
     monkeypatch.setattr(ts, "_block_values", counting_block_values)
     assert seminorm(hf, 0, 0, 2, SPEC) > 0.0
-    assert planned == sampled == [False]
+    # The support bound plans Hf and its four derivatives; H^2 reads only
+    # the fourth where V = 0.
+    assert planned == [False] * 5
+    assert sampled == [False]
+
+
+def test_words_of_one_order_share_their_starting_nodes(monkeypatch):
+    f = build_test_function(MODEL, GATE_PACKET)
+    calls, _ = _count_values(monkeypatch)
+    starts = {}  # order: (starting nodes, derivatives sampled there)
+    for n, m, l in C09_ORDERS:
+        order = n + m + 2 * l
+        if order == 0:
+            continue
+        calls.clear()
+        seminorm(f, n, m, l, SPEC)
+        if order not in starts:
+            starts[order] = (calls[0][2], set())
+        start, seen = starts[order]
+        for _, s, x in calls:
+            shared = np.isin(x, start)
+            if shared.any():
+                # A derivative is sampled on the starting nodes of an order
+                # once, over all of them, whichever word reads it first; a
+                # later word of that order samples none of them again.
+                assert shared.all() and x.size == start.size
+                assert s not in seen
+                seen.add(s)
+    assert sorted(starts) == list(range(1, 9))
+    assert all(seen <= set(range(order + 1))
+               for order, (_, seen) in starts.items())
+
+
+@pytest.mark.parametrize("x0", [-0.12, -0.05, 1.05])
+def test_jet_image_matches_mpmath_next_to_the_steps(x0):
+    packet = GaussianPacket(center=-3.0, width=1.0, momentum=1.0,
+                            poly_degree=1)
+    f = build_test_function(MODEL, packet)
+    g = packet_expression(MODEL, packet)
+    word = ts._word(MODEL, 8, 8, 0)
+    value = ts._word_values(f, word, np.array([x0]), {})[0]
+    ref = (-1j * MODEL.hbar) ** 8 * mp_derivative(lambda t: t ** 8 * g(t),
+                                                  x0, 8)
+    # Each derivative read carries its own evaluation error, weighted by
+    # its polynomial.  Only at 1.05 does that term matter: f^(8) there is
+    # evaluated to 3e-12 relative, and P^8 Q^8 f to 2.5e-11.
+    c = word[0]
+    inherited = sum(
+        abs(np.polyval(c[::-1, s], x0))
+        * abs(evaluate(f, x0, s) - mp_derivative(g, x0, s))
+        for s in range(c.shape[1]))
+    assert abs(value - ref) <= 1e-12 * abs(ref) + inherited
+    if x0 < MODEL.a:
+        assert abs(value - ref) <= 1e-12 * abs(ref)
+
+
+# Mixed words next to the barrier, whose symbolic images stalled the
+# refinement: the polynomial in x of Q^m, expanded about the packet's
+# centre, loses digits next to the steps.
+@pytest.mark.parametrize("center", [-5.0, -3.0, 3.0])
+@pytest.mark.parametrize("word", [(4, 4, 4), (2, 3, 5), (8, 8, 0)])
+def test_mixed_words_next_to_the_barrier_return(center, word):
+    f = build_test_function(MODEL, GaussianPacket(center, 1.0))
+    value = seminorm(f, *word, SPEC) ** 2
+    lo, hi = ts._jet_support(f, sum(word) + word[2], SPEC)
+    ref = _dense(lambda x: ts._word_values(f, ts._word(MODEL, *word), x, {}),
+                 lo, hi)
+    assert abs(value - ref) <= max(SPEC.abs_tol, SPEC.rel_tol * ref)
+
+
+OTHER_MODELS = [BarrierModel(a=-0.3, b=0.9, v0=5.0),
+                BarrierModel(a=1.0, b=1.5, v0=0.7, hbar=0.8, mass=1.3)]
+WORDS = [(1, 0, 0), (0, 1, 1), (1, 1, 1), (2, 2, 2), (0, 0, 4), (3, 3, 1),
+         (8, 0, 0), (0, 8, 0)]
+
+
+@pytest.mark.parametrize("model", OTHER_MODELS, ids=["narrow", "scaled"])
+@pytest.mark.parametrize("packet", [GaussianPacket(-7.0, 1.0, 2.0, 1),
+                                    GaussianPacket(8.0, 1.5, -1.0, 2)])
+def test_jet_route_agrees_with_symbolic_route_on_other_models(model, packet):
+    f = build_test_function(model, packet)
+    for word in WORDS:
+        g = _image(f, *word)
+        ref = inner_product(g, g, SPEC).real
+        value = seminorm(f, *word, SPEC) ** 2
+        assert abs(value - ref) <= max(SPEC.abs_tol, SPEC.rel_tol * ref)
+
+
+@pytest.mark.parametrize("model", OTHER_MODELS, ids=["narrow", "scaled"])
+def test_word_coefficients_match_symbolic_images_on_each_region(model):
+    # A packet over the whole barrier: its images hold V = v0 inside.
+    f = build_test_function(model, GaussianPacket(
+        0.5 * (model.a + model.b), 1.0, 1.5, 1))
+    x = np.array([model.a - 1.3, model.a + 0.3 * model.width,
+                  model.a + 0.6 * model.width, model.b + 1.1])
+    for word in WORDS + [(0, 0, 2), (2, 0, 3)]:
+        ref = evaluate(_image(f, *word), x)
+        value = ts._word_values(f, ts._word(model, *word), x, {})
+        assert np.allclose(value, ref, rtol=1e-9, atol=0.0)
 
 
 def test_support_interval_of_hf_brackets_its_mass_inside_the_barrier():
