@@ -21,7 +21,6 @@ from barrierkets import (
     energy_transform,
     evaluate,
     inner_product,
-    integrate_line,
     lincomb,
     momentum_transform,
     seminorm,
