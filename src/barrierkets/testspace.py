@@ -43,18 +43,20 @@ evaluation that has nodes on the block.  A clipped block is zero outside
 away from [a, b] is never planned, and one is evaluated only when nodes
 fall inside [a, b].
 
-The seminorms ||P^n Q^m H^l f|| that define the space build no image.  V
-is constant on each of the three regions cut by the steps, and f vanishes
-with every derivative at the steps, so on a region the word is a
-differential operator with polynomial coefficients and no boundary terms:
-P^n Q^m H^l f = sum over r <= m, s <= n + 2l of c[r, s] x^r f^(s), the
-exact c composed once per model and word.  A seminorm of order
-K = n + m + 2l >= 1 integrates |that|^2 from f's derivative jet f, f',
-..., f^(K), over an interval and starting panels that depend only on f,
-the spatial radius and K.  So every word of one order starts on the same
-nodes, where f keeps the derivatives sampled, and the 94 words of order
-1 to 8 that define membership read at most 44 derivative samples of those
-nodes where the symbolic route evaluated 94 images.
+The norms ||W f|| of the words W in Q, P and H that define the space (the
+seminorms ||P^n Q^m H^l f|| and the invariance battery's words) build no
+image.  V is constant on each of the three regions cut by the steps, and f
+vanishes with every derivative at the steps, so on a region a word of order
+K (Q and P count one, H two) is a differential operator with polynomial
+coefficients and no boundary terms: W f = sum over r, s <= K of
+c[r, s] x^r f^(s), the exact c composed once per model and word, one letter
+at a time.  A norm of order K >= 1 integrates |that|^2 from f's derivative
+jet f, f', ..., f^(K), over an interval and starting panels that depend
+only on f, the spatial radius and K.  So every word of one order starts on
+the same nodes, where f keeps the derivatives sampled: the 94 seminorms of
+order 1 to 8 that define membership read at most 44 derivative samples of
+those nodes where the symbolic route evaluated 94 images, and after them
+the battery's 48 words of order 1 to 4 sample none there.
 """
 
 from __future__ import annotations
@@ -623,49 +625,96 @@ def _overlap(f: TestFunction, g: TestFunction, spec: QuadratureSpec) -> complex:
 
 def _d(c: np.ndarray) -> np.ndarray:
     """d/dx of sum over r, s of c[r, s] x^r f^(s): the product rule."""
-    out = np.zeros((c.shape[0], c.shape[1] + 1), dtype=complex)
+    out = np.zeros((c.shape[0], c.shape[1] + 1), dtype=c.dtype)
     out[:, 1:] = c
     out[:-1, :-1] += np.arange(1, c.shape[0])[:, None] * c[1:]
     return out
 
 
+def _letter(letter: str, c: np.ndarray, p: complex, kinetic: float,
+            v: float) -> np.ndarray:
+    """One letter applied to sum over r, s of c[r, s] x^r f^(s): Q shifts
+    r, P is p d, H is kinetic d^2 + v."""
+    if letter == "Q":
+        return np.concatenate([np.zeros((1, c.shape[1]), dtype=c.dtype), c])
+    if letter == "P":
+        return p * _d(c)
+    h = kinetic * _d(_d(c))
+    h[:, :c.shape[1]] += v * c
+    return h
+
+
+@lru_cache(maxsize=32)
+def _words(order: int) -> tuple:
+    """Every word in Q, P and H of one order (Q and P count one, H two),
+    spelled with the letter that acts last first: Q or P before each word
+    of order - 1, then H before each word of order - 2."""
+    if order <= 0:
+        return ("",) if order == 0 else ()
+    return tuple(a + w for a in "QP" for w in _words(order - 1)) + \
+        tuple("H" + w for w in _words(order - 2))
+
+
 @lru_cache(maxsize=1024)
-def _word(model: BarrierModel, n: int, m: int, l: int) -> tuple:
-    """The coefficients c[r, s] of P^n Q^m H^l, which maps f to
-    sum over r, s of c[r, s] x^r f^(s) where V is constant.
+def _word(model: BarrierModel, word: str) -> tuple:
+    """The coefficients c[r, s] of a word in Q, P and H (see _words),
+    which maps f to sum over r, s of c[r, s] x^r f^(s) where V is constant.
 
     Returns (outside, inside), for V = 0 and for V = v0; inside is None
-    where the two agree.  The letters compose exactly: H is
-    -(hbar^2/2m) d^2 + V, Q shifts r, P is -i hbar d.
+    where the two agree.  The letters compose exactly, one at a time onto
+    the word's cached suffix: H is -(hbar^2/2m) d^2 + V, Q shifts r, P is
+    -i hbar d.
     """
-    kinetic = -model.hbar ** 2 / (2.0 * model.mass)
-    sides = []
-    for v in (0.0, model.v0):
-        c = np.ones((1, 1), dtype=complex)
-        for _ in range(l):
-            h = kinetic * _d(_d(c))
-            h[:, :c.shape[1]] += v * c
-            c = h
-        c = np.concatenate([np.zeros((m, c.shape[1]), dtype=complex), c])
-        for _ in range(n):
-            c = -1j * model.hbar * _d(c)
+    if not word:
+        one = np.ones((1, 1), dtype=complex)
+        one.setflags(write=False)
+        return one, None
+    outside, inside = _word(model, word[1:])
+    p, kinetic = -1j * model.hbar, -model.hbar ** 2 / (2.0 * model.mass)
+    sides = [_letter(word[0], c, p, kinetic, v) for c, v in (
+        (outside, 0.0), (outside if inside is None else inside, model.v0))]
+    for c in sides:
         c.setflags(write=False)
-        sides.append(c)
     outside, inside = sides
     return outside, None if np.array_equal(outside, inside) else inside
 
 
 @lru_cache(maxsize=64)
+def _majorants(model: BarrierModel, order: int) -> tuple:
+    """Real arrays such that |c| of every word of one order, on either
+    region, lies elementwise under one of them.
+
+    They are built as the words are, one letter onto those of order - 1
+    (Q, P) and order - 2 (H), with each letter's factors replaced by their
+    moduli, which bounds |c| by the triangle inequality.  An array that
+    lies under another one is dropped, which keeps tens to a few hundred
+    of them at order 16, where the words number 470832.
+    """
+    if order <= 0:
+        return (np.ones((1, 1)),) if order == 0 else ()
+    p, kinetic = model.hbar, model.hbar ** 2 / (2.0 * model.mass)
+    grown = [_letter(a, c, p, kinetic, model.v0)
+             for a, prev in (("Q", order - 1), ("P", order - 1),
+                             ("H", order - 2))
+             for c in _majorants(model, prev)]
+    # r counts the Q and s at most the order: pad every array to that.
+    stack = np.zeros((len(grown), order + 1, order + 1))
+    for k, c in enumerate(grown):
+        stack[k, :c.shape[0], :c.shape[1]] = c
+    stack = np.unique(stack, axis=0)
+    flat = stack.reshape(len(stack), -1)
+    # Distinct arrays, so only another one can lie above a row everywhere.
+    kept = [k for k in range(len(stack))
+            if np.count_nonzero((flat >= flat[k]).all(axis=1)) == 1]
+    return tuple(stack[kept])
+
+
+@lru_cache(maxsize=64)
 def _log_coef_bound(model: BarrierModel, order: int) -> float:
-    """log of the largest sum of |c[r, s]| over the words of one order,
-    and at least 0."""
-    top = 1.0
-    for l in range(order // 2 + 1):
-        for m in range(order - 2 * l + 1):
-            for c in _word(model, order - 2 * l - m, m, l):
-                if c is not None:
-                    top = max(top, float(np.abs(c).sum()))
-    return math.log(top)
+    """log of a bound on the sum of |c[r, s]| over every word of one
+    order (see _majorants), and at least 0."""
+    return math.log(max([1.0] + [float(c.sum())
+                                 for c in _majorants(model, order)]))
 
 
 def _jet_support(f: TestFunction, order: int, spec: QuadratureSpec) -> tuple:
@@ -746,25 +795,18 @@ def _word_panels(f: TestFunction, word: tuple, start: dict):
     return panels
 
 
-def seminorm(f: TestFunction, n: int, m: int, l: int, spec: QuadratureSpec) -> float:
-    """The norm of P^n Q^m H^l f (H applied first, then Q, then P).
+def _word_norm(f: TestFunction, word: str, spec: QuadratureSpec) -> float:
+    """The norm of W f for a word W in Q, P and H (see _words).
 
     Order 0 is the square root of the kept self product (f, f).  Above it,
     no image is built: on each region where V is constant the word maps f
     to sum over r, s of c[r, s] x^r f^(s) (see _word), since f vanishes
     with every derivative at the steps, and |that|^2 is integrated over
     _jet_support with the steps as starting panel edges.  Every word of one
-    order K = n + m + 2l thus starts on the same panels, and f keeps the
-    derivatives sampled there, per K, for the next word.
+    order K thus starts on the same panels, and f keeps the derivatives
+    sampled there, per K, for the next word.
     """
-    _member(f, "seminorm")
-    for v, name in ((n, "n"), (m, "m"), (l, "l")):
-        if v < 0:
-            raise DomainError(f"seminorm index {name} must be >= 0")
-    order = n + m + 2 * l
-    if order > f.order_cap:
-        raise CapabilityError(
-            f"seminorm order n+m+2l = {order} exceeds cap {f.order_cap}")
+    order = len(word) + word.count("H")
     if order == 0:
         return math.sqrt(max(inner_product(f, f, spec).real, 0.0))
     lo, hi = _jet_support(f, order, spec)
@@ -773,7 +815,21 @@ def seminorm(f: TestFunction, n: int, m: int, l: int, spec: QuadratureSpec) -> f
     start = f._jets.setdefault(
         (order, spec.spatial_radius, spec.max_subdivisions), {})
     model = f.model
-    vals, _, _, _, _ = _adaptive(_word_panels(f, _word(model, n, m, l), start),
+    vals, _, _, _, _ = _adaptive(_word_panels(f, _word(model, word), start),
                                  lo, hi, spec, 2.0 * f.max_phase(),
                                  breaks=(model.a, model.b))
     return math.sqrt(max(float(vals[0]), 0.0))
+
+
+def seminorm(f: TestFunction, n: int, m: int, l: int, spec: QuadratureSpec) -> float:
+    """The norm of P^n Q^m H^l f (H applied first, then Q, then P), from
+    f's derivative jet (see _word_norm)."""
+    _member(f, "seminorm")
+    for v, name in ((n, "n"), (m, "m"), (l, "l")):
+        if v < 0:
+            raise DomainError(f"seminorm index {name} must be >= 0")
+    order = n + m + 2 * l
+    if order > f.order_cap:
+        raise CapabilityError(
+            f"seminorm order n+m+2l = {order} exceeds cap {f.order_cap}")
+    return _word_norm(f, "P" * n + "Q" * m + "H" * l, spec)

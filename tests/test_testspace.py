@@ -372,6 +372,11 @@ def test_equal_but_distinct_functions_are_both_sampled(monkeypatch):
     assert inner_product(f, f, SPEC) == cross
 
 
+def _spell(n, m, l):
+    """The word P^n Q^m H^l, its last letter acting first."""
+    return "P" * n + "Q" * m + "H" * l
+
+
 def _image(f, n, m, l):
     """The symbolic image P^n Q^m H^l f."""
     g = f
@@ -394,12 +399,12 @@ def test_c09_table_matches_dense_reference():
         assert seminorm(fresh, n, m, l, SPEC) == value
 
 
-def _dense(values, lo, hi, per_unit=2000):
+def _dense(values, lo, hi, per_unit=2000, model=MODEL):
     """Integral of |values(x)|^2 over [lo, hi] by a composite 24-point
-    Gauss-Legendre rule, about per_unit nodes per unit length, cut at a
-    and b."""
+    Gauss-Legendre rule, about per_unit nodes per unit length, cut at the
+    model's a and b."""
     x24, w24 = np.polynomial.legendre.leggauss(24)
-    cuts = [lo] + [p for p in (MODEL.a, MODEL.b) if lo < p < hi] + [hi]
+    cuts = [lo] + [p for p in (model.a, model.b) if lo < p < hi] + [hi]
     total = 0.0
     for a, b in zip(cuts[:-1], cuts[1:]):
         n = math.ceil((b - a) * per_unit / 24)
@@ -413,7 +418,7 @@ def _dense(values, lo, hi, per_unit=2000):
 def _dense_split(g):
     """_dense of g over g's support."""
     return _dense(lambda x: evaluate(g, x),
-                  *g.support_interval(SPEC.spatial_radius))
+                  *g.support_interval(SPEC.spatial_radius), model=g.model)
 
 
 # Seminorms of real width-w packets whose image H^l f peaks next to a step.
@@ -493,7 +498,7 @@ def test_jet_image_matches_mpmath_next_to_the_steps(x0):
                             poly_degree=1)
     f = build_test_function(MODEL, packet)
     g = packet_expression(MODEL, packet)
-    word = ts._word(MODEL, 8, 8, 0)
+    word = ts._word(MODEL, _spell(8, 8, 0))
     value = ts._word_values(f, word, np.array([x0]), {})[0]
     ref = (-1j * MODEL.hbar) ** 8 * mp_derivative(lambda t: t ** 8 * g(t),
                                                   x0, 8)
@@ -519,8 +524,9 @@ def test_mixed_words_next_to_the_barrier_return(center, word):
     f = build_test_function(MODEL, GaussianPacket(center, 1.0))
     value = seminorm(f, *word, SPEC) ** 2
     lo, hi = ts._jet_support(f, sum(word) + word[2], SPEC)
-    ref = _dense(lambda x: ts._word_values(f, ts._word(MODEL, *word), x, {}),
-                 lo, hi)
+    ref = _dense(
+        lambda x: ts._word_values(f, ts._word(MODEL, _spell(*word)), x, {}),
+        lo, hi)
     assert abs(value - ref) <= max(SPEC.abs_tol, SPEC.rel_tol * ref)
 
 
@@ -551,8 +557,92 @@ def test_word_coefficients_match_symbolic_images_on_each_region(model):
                   model.a + 0.6 * model.width, model.b + 1.1])
     for word in WORDS + [(0, 0, 2), (2, 0, 3)]:
         ref = evaluate(_image(f, *word), x)
-        value = ts._word_values(f, ts._word(model, *word), x, {})
+        value = ts._word_values(f, ts._word(model, _spell(*word)), x, {})
         assert np.allclose(value, ref, rtol=1e-9, atol=0.0)
+
+
+def test_words_of_each_order_are_enumerated_once():
+    # Order K has Pell(K + 1) words: 2 a(K-1) + a(K-2).
+    counts = [1, 2, 5, 12, 29, 70, 169, 408, 985]
+    for order, count in enumerate(counts):
+        words = ts._words(order)
+        assert len(words) == len(set(words)) == count
+        assert all(len(w) + w.count("H") == order for w in words)
+        assert set("".join(words)) <= set("QPH")
+
+
+@pytest.mark.parametrize("model", [MODEL] + OTHER_MODELS,
+                         ids=["default", "narrow", "scaled"])
+def test_coefficient_bound_covers_every_word(model):
+    # HQ, of order 3, has sum |c| = 5 under the default model; a bound over
+    # the words P^n Q^m H^l alone gives 3.
+    for order in range(9):
+        bound = math.exp(ts._log_coef_bound(model, order))
+        for word in ts._words(order):
+            for c in ts._word(model, word):
+                if c is not None:
+                    # Up to the rounding of the sums and of exp(log(.)).
+                    assert np.abs(c).sum() <= bound * (1.0 + 1e-12), word
+    hq = ts._word(MODEL, "HQ")
+    assert max(np.abs(c).sum() for c in hq) == pytest.approx(5.0)
+
+
+def _symbolic(f, word):
+    """The image of f under a word, built letter by letter."""
+    for letter in reversed(word):
+        f = apply_observable(Observable(letter), f)
+    return f
+
+
+NARROW_SCALED = BarrierModel(a=-0.3, b=0.9, v0=5.0, hbar=0.8, mass=1.3)
+
+
+# Every word of the order-4 battery, next to and over the steps too, and on
+# an image whose blocks are clipped.
+@pytest.mark.parametrize("model, packet, kind", [
+    (MODEL, GATE_PACKET, None),
+    (MODEL, GaussianPacket(-3.0, 1.0, 1.0, 1), None),
+    (MODEL, GaussianPacket(0.5, 1.0), None),
+    (NARROW_SCALED, GaussianPacket(0.3, 1.0, 1.5, 1), None),
+    (MODEL, GaussianPacket(0.5, 1.0), Observable.H),
+], ids=["gate", "at-3", "at0.5", "narrow-scaled", "h-image"])
+def test_battery_norms_match_dense_references(model, packet, kind):
+    f = build_test_function(model, packet)
+    if kind is not None:
+        f = apply_observable(kind, f)
+    norms = {}
+    for order in range(5):
+        for word in ts._words(order):
+            norms[word] = ts._word_norm(f, word, SPEC)
+            ref = _dense_split(_symbolic(f, word))
+            assert abs(norms[word] ** 2 - ref) <= max(
+                SPEC.abs_tol, SPEC.rel_tol * ref), word
+    assert len(norms) == 49
+    report = check_invariance_battery(f, 4, SPEC)
+    (name, value), = report.witnesses
+    assert value == max(norms.values())
+    assert norms[name.removeprefix("largest norm ")] == value
+
+
+def test_battery_after_the_table_samples_no_starting_node(monkeypatch):
+    f = build_test_function(MODEL, GATE_PACKET)
+    calls, nodes = _count_values(monkeypatch)
+    starts = {}  # order: the starting nodes of its words
+    for n, m, l in C09_ORDERS:
+        calls.clear()
+        seminorm(f, n, m, l, SPEC)
+        if calls:
+            starts.setdefault(n + m + 2 * l, calls[0][2])
+    calls.clear()
+    nodes.clear()
+    report = check_invariance_battery(f, 4, SPEC)
+    assert report.passed and nodes
+    # The 48 words of order 1 to 4 start on the table's panels, where f
+    # holds every derivative they read; refinement rounds may sample.
+    for _, _, x in calls:
+        for order in range(1, 5):
+            assert not np.isin(x, starts[order]).any()
+    assert f._images == {}
 
 
 def test_support_interval_of_hf_brackets_its_mass_inside_the_barrier():

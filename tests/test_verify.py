@@ -110,6 +110,11 @@ def test_invariance_rejects_order_beyond_cap(battery):
         check_invariance_battery(battery[0], battery[0].order_cap + 1, SPEC)
 
 
+def test_invariance_rejects_negative_order(battery):
+    with pytest.raises(DomainError):
+        check_invariance_battery(battery[0], -1, SPEC)
+
+
 def test_non_member_is_flagged():
     report = check_non_member(MODEL, SPEC)
     assert report.passed
