@@ -108,9 +108,6 @@ def test_invariance_small_order(battery):
 def test_invariance_rejects_order_beyond_cap(battery):
     with pytest.raises(DomainError):
         check_invariance_battery(battery[0], battery[0].order_cap + 1, SPEC)
-
-
-def test_invariance_rejects_negative_order(battery):
     with pytest.raises(DomainError):
         check_invariance_battery(battery[0], -1, SPEC)
 
