@@ -377,14 +377,16 @@ def _spell(n, m, l):
     return "P" * n + "Q" * m + "H" * l
 
 
+def _symbolic(f, word):
+    """The image of f under a word, built letter by letter."""
+    for letter in reversed(word):
+        f = apply_observable(Observable(letter), f)
+    return f
+
+
 def _image(f, n, m, l):
     """The symbolic image P^n Q^m H^l f."""
-    g = f
-    for observable, count in ((Observable.H, l), (Observable.Q, m),
-                              (Observable.P, n)):
-        for _ in range(count):
-            g = apply_observable(observable, g)
-    return g
+    return _symbolic(f, _spell(n, m, l))
 
 
 def test_c09_table_matches_dense_reference():
@@ -587,23 +589,14 @@ def test_coefficient_bound_covers_every_word(model):
     assert max(np.abs(c).sum() for c in hq) == pytest.approx(5.0)
 
 
-def _symbolic(f, word):
-    """The image of f under a word, built letter by letter."""
-    for letter in reversed(word):
-        f = apply_observable(Observable(letter), f)
-    return f
-
-
-NARROW_SCALED = BarrierModel(a=-0.3, b=0.9, v0=5.0, hbar=0.8, mass=1.3)
-
-
 # Every word of the order-4 battery, next to and over the steps too, and on
 # an image whose blocks are clipped.
 @pytest.mark.parametrize("model, packet, kind", [
     (MODEL, GATE_PACKET, None),
     (MODEL, GaussianPacket(-3.0, 1.0, 1.0, 1), None),
     (MODEL, GaussianPacket(0.5, 1.0), None),
-    (NARROW_SCALED, GaussianPacket(0.3, 1.0, 1.5, 1), None),
+    (BarrierModel(a=-0.3, b=0.9, v0=5.0, hbar=0.8, mass=1.3),
+     GaussianPacket(0.3, 1.0, 1.5, 1), None),
     (MODEL, GaussianPacket(0.5, 1.0), Observable.H),
 ], ids=["gate", "at-3", "at0.5", "narrow-scaled", "h-image"])
 def test_battery_norms_match_dense_references(model, packet, kind):
