@@ -29,11 +29,11 @@ The engine has two acceptance tests, one per kind of caller:
 - An integral returns the sum over the halves and accepts when the sum of
   |panel - halves| over the panels is within max(abs_tol, rel_tol * |value|)
   for every component.  Summing magnitudes keeps noise from cancelling its
-  way to acceptance: the order-16 seminorm of a width-1 packet next to the
-  barrier carries evaluation noise near 3e-9 of its value, and accepting on
-  |sum of differences| returned it at rel_tol 1e-10, 1.3e-9 away from the
-  values that rel_tol 1e-8 and 1e-6 agree on.  Summed magnitudes stall
-  there and raise.
+  way to acceptance: an order-16 seminorm whose derivatives carried
+  evaluation noise near 3e-9 of its value, accepted on |sum of
+  differences|, returned at rel_tol 1e-10 1.3e-9 away from the values that
+  rel_tol 1e-8 and 1e-6 agree on.  Summed magnitudes stall there and
+  raise.
 - A spatial rule (transforms._build_rule) is the panels themselves, and it
   accepts when |sum of panel - halves| is within abs_tol, or rel_tol times
   the integrand's L1 norm when that is larger, at every probe kernel.  The

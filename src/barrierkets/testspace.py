@@ -1,62 +1,42 @@
 """Smooth test functions that vanish at the barrier steps, with exact calculus.
 
-A function is a short tuple of blocks, one per envelope
+A function is a short sum of terms.  Each term is a coefficient times a
+word in the letters Q, P, H and D (d/dx), spelled with the letter that acts
+last first, applied to one windowed packet
 
-    E(x) = e^{iqx} * e^{-(u/w)^2} * e^{-s^2/(x-a)^2} * e^{-s^2/(x-b)^2},
+    f(x) = u^d E(x),  E(x) = e^{iqx} e^{-(u/w)^2} e^{-s^2/(x-a)^2} e^{-s^2/(x-b)^2},
 
-u = x - g, optionally clipped to the barrier interval [a, b] (the potential
-part of H does that).  a and b are the step positions and s the window
-sharpness, all taken from the model.  Each block holds one dense complex
-tensor C, stored power-major, and its value is
+u = x - g.  a and b are the step positions and s the window sharpness, all
+taken from the model; g, w, q and d come from the GaussianPacket.  The
+windows pin the packet and every one of its derivatives to zero at the
+steps.  Q, P and H act by prepending their letter to the word of every
+term; sums concatenate terms and scalings scale their coefficients.  Terms
+keep their order, so a fixed input gives the same bits every time.
 
-    sum over p, i, j of  C[p, i, j] * u^p * (x-a)^(-i) * (x-b)^(-j) * E(x).
+V is constant on each of the three regions cut by the steps, and a packet
+vanishes with every derivative at the steps, so on a region a word of
+order K (Q, P and D count one, H two) is a differential operator with
+polynomial coefficients and no boundary terms: W f = sum over r, s <= K of
+c[r, s] x^r f^(s), the exact c composed once per model and word, one letter
+at a time.  Every value, of a function or of its n-th derivative (the word
+D^n W), contracts those coefficients, summed over the terms that share a
+packet, with the packet's derivative jet f, f', ..., f^(K), and sums the
+powers of x by Horner's rule.
 
-The windows pin the function and every one of its derivatives to zero at
-the steps, and the poles only ever sit under the window at the same point.
-The family is closed under d/dx, multiplication by x, and multiplication by
-the potential, so Q, P and H act exactly on C: no numerical differentiation
-happens anywhere.  d/dx is seven shifted adds on C, the product rule on u^p,
-on each pole power and on each of the three exponents of E; Q is a shift in
-p plus g * C; H is -hbar^2/2m d^2 plus a block v0 * C clipped to [a, b]; sums
-and scalings are padded adds.  Blocks keep the order of their envelopes, so
-a fixed input gives the same bits every time.
-
-Pole factors are never expanded into the numerator polynomial: a
-common-denominator form would need the numerator to cancel against the
-divided-out poles wherever the poles blow up, which costs all significant
-digits by derivative order three.  Keeping the two pole powers as tensor
-axes bounds every polynomial degree by the derivative order, at the price of
-a number of nonzero (i, j) rows that grows like the square of the order;
-evaluation contracts those rows as matrix products, one pass per block.
-With the powers on the leading axis, finding the nonzero rows and their
-scales reduces over that axis, and the gathered (powers, rows) slice is the
-matrix the contraction needs.  Exponentially large and small factors are
-assembled in log space, so window-times-pole products near the steps
-neither overflow nor produce 0 * inf.  Polynomials are stored in the
-shifted variable u = x - g of the Gaussian envelope, where they stay well
-conditioned over the support.
-
-Each block's rows are planned on first use, by the support bound or by an
-evaluation that has nodes on the block.  A clipped block is zero outside
-[a, b], and so are all its derivatives: its support counts only inside
-[a, b], a clipped block that a bound from its tensor's shape alone keeps
-away from [a, b] is never planned, and one is evaluated only when nodes
-fall inside [a, b].
+The jet comes from Taylor-mode arithmetic (Griewank and Walther, Evaluating
+Derivatives, 2nd ed., SIAM 2008, ch. 13).  At a node the exponent of E has
+closed-form Taylor coefficients psi_j, the coefficients of its exponential
+follow from k E_k = sum over j of j psi_j E_{k-j}, and u^d enters as a
+Cauchy product.  Neither the jet nor the contraction calls BLAS, so the
+bits do not depend on the thread count.
 
 The norms ||W f|| of the words W in Q, P and H that define the space (the
-seminorms ||P^n Q^m H^l f|| and the invariance battery's words) build no
-image.  V is constant on each of the three regions cut by the steps, and f
-vanishes with every derivative at the steps, so on a region a word of order
-K (Q and P count one, H two) is a differential operator with polynomial
-coefficients and no boundary terms: W f = sum over r, s <= K of
-c[r, s] x^r f^(s), the exact c composed once per model and word, one letter
-at a time.  A norm of order K >= 1 integrates |that|^2 from f's derivative
-jet f, f', ..., f^(K), over an interval and starting panels that depend
-only on f, the spatial radius and K.  So every word of one order starts on
-the same nodes, where f keeps the derivatives sampled: the 94 seminorms of
-order 1 to 8 that define membership read at most 44 derivative samples of
-those nodes where the symbolic route evaluated 94 images, and after them
-the battery's 48 words of order 1 to 4 sample none there.
+seminorms ||P^n Q^m H^l f|| and the invariance battery's words) integrate
+|W f|^2 over an interval and starting panels that depend only on f, the
+spatial radius and K.  So every word of one order starts on the same
+nodes, where f keeps each packet's jet: the 94 seminorms of order 1 to 8
+that define membership compute one jet per packet and order there, and
+after them the battery's 48 words of order 1 to 4 compute none.
 """
 
 from __future__ import annotations
@@ -91,364 +71,232 @@ __all__ = [
 ORDER_CAP = 16
 # Window sharpness as a fraction of the barrier width.
 WINDOW_SHARPNESS_FRACTION = 0.1
-# Relative magnitude below which a row is considered absent from an interval
-# when computing certified support bounds.
+# Relative magnitude below which a function is considered absent from an
+# interval when computing certified support bounds.
 _SUPPORT_CUTOFF_LOG = 41.5  # -ln(1e-18)
-# Rows times points per evaluation chunk (at most 2048 points): keeps the
-# row-by-point matrices in cache.
-_EVAL_CHUNK = 1 << 16
-# Distance from a Gaussian's center, in widths, beyond which a block is
-# exactly 0 in floating point: its envelope is below e^-1e300, and no pole,
-# polynomial or coefficient factor of doubles makes up for that.
-_FAR_WIDTHS = 1e150
+# A factor e^-z of E with z above this is 0 in floating point: e^-745.2 is
+# below half the least subnormal double.
+_UNDERFLOW = 745.2
 
 
-class _Block(NamedTuple):
-    """One envelope and its coefficient tensor; see the module docstring."""
+class _Term(NamedTuple):
+    """coef times a word in Q, P, H and D applied to one packet."""
 
-    clipped: bool      # restricted to [a, b]
-    phase: float       # q in e^{iqx}
-    gauss: tuple       # (g, w): center and width of the Gaussian
-    coef: np.ndarray   # C[p, i, j], complex
-
-
-class _Rows(NamedTuple):
-    """The nonzero (i, j) rows of one block, ready for evaluation.
-
-    Rows are ordered by the parities of (i, j): even-even, odd-even,
-    odd-odd, even-odd, so that the rows with odd i and those with odd j
-    are each one slice.
-    """
-
-    i: np.ndarray          # pole power at a, per row
-    j: np.ndarray          # pole power at b, per row
-    deg: np.ndarray        # trimmed polynomial degree, per row
-    log_scale: np.ndarray  # log of the row's largest |coefficient|
-    expo: np.ndarray       # (rows, 2 or 4): weights of 1, log E, log|x-a|, log|x-b|
-    poly: np.ndarray       # (2 * powers of u, rows): real parts, then
-                           # imaginary parts, divided by the row's scale
-    odd_i: slice
-    odd_j: slice
+    coef: complex
+    word: str                  # the letter that acts last first
+    packet: "GaussianPacket"
 
 
-def _padded_add(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = np.zeros(np.maximum(x.shape, y.shape), dtype=complex)
-    out[tuple(map(slice, x.shape))] += x
-    out[tuple(map(slice, y.shape))] += y
-    return out
-
-
-def _collect(blocks) -> tuple:
-    """Sum blocks that share an envelope, drop zero blocks, fix the order."""
-    sums: dict = {}
-    for blk in blocks:
-        key = blk[:3]  # the envelope: clipped, phase, gauss
-        prev = sums.get(key)
-        sums[key] = blk.coef if prev is None else _padded_add(prev, blk.coef)
-    return tuple(_Block(*key, c) for key, c in sorted(sums.items(),
-                                                       key=lambda kv: kv[0])
-                 if c.any())
-
-
-def _derivative(blk: _Block, s: float) -> _Block:
-    """d/dx of one block: the seven shifted adds of the product rule.
-
-    C is copied into the shape of the result, padded with one power and
-    three pole powers of zeros, so each shift is a shift of the flat
-    array.  What wraps round from the padding is a zero, and adding a zero
-    leaves every sum's bits as they are.
-    """
-    c = blk.coef
-    npow, ni, nj = c.shape
-    w = blk.gauss[1]
-    shape = (npow + 1, ni + 3, nj + 3)
-    cp = np.zeros(shape, dtype=complex)
-    cp[:npow, :ni, :nj] = c
-    d = np.zeros(cp.size, dtype=complex)
-    t = np.empty(shape, dtype=complex)
-    flat, tf = cp.ravel(), t.ravel()
-    sp, si = shape[1] * shape[2], shape[2]  # flat steps of p and of i
-    np.multiply(cp, np.arange(shape[0])[:, None, None], out=t)
-    d[:-sp] += tf[sp:]                                  # u^p
-    np.multiply(cp, np.arange(shape[1])[:, None], out=t)
-    d[si:] -= tf[:-si]                                  # (x-a)^-i
-    np.multiply(cp, np.arange(shape[2]), out=t)
-    d[1:] -= tf[:-1]                                    # (x-b)^-j
-    np.multiply(1j * blk.phase, flat, out=tf)
-    d += tf                                             # e^{iqx}
-    np.multiply(-2.0 / w**2, flat, out=tf)
-    d[sp:] += tf[:-sp]                                  # e^{-(u/w)^2}
-    np.multiply(2.0 * s * s, flat, out=tf)
-    d[3 * si:] += tf[:-3 * si]                          # window at a
-    d[3:] += tf[:-3]                                    # window at b
-    return blk._replace(coef=d.reshape(shape))
-
-
-def _times_x(blk: _Block) -> _Block:
-    """x = u + g times one block: a shift in p plus g * C."""
-    c = blk.coef
-    d = np.zeros((c.shape[0] + 1,) + c.shape[1:], dtype=complex)
-    d[1:] += c
-    d[:-1] += blk.gauss[0] * c
-    return blk._replace(coef=d)
-
-
-def _rows(blk: _Block) -> _Rows:
-    c = blk.coef
-    npow = c.shape[0]
-    ii, jj = np.nonzero(c.any(axis=0))
-    parity = 2 * (jj & 1) + ((ii ^ jj) & 1)
-    order = np.argsort(parity, kind="stable")
-    ii, jj = ii[order], jj[order]
-    bounds = np.searchsorted(parity[order], [1, 2, 3])
-    coef = c[:, ii, jj]  # (powers, rows)
-    s = np.abs(coef).max(axis=0)
-    deg = npow - 1 - np.argmax(coef[::-1] != 0.0, axis=0)
-    log_scale = np.log(s)
-    poles = ii.any() or jj.any()  # without poles their logs are never needed
-    expo = np.empty((ii.size, 4 if poles else 2))
-    expo[:, 0] = log_scale
-    expo[:, 1] = 1.0
-    if poles:
-        expo[:, 2] = -ii
-        expo[:, 3] = -jj
-    # Real divisions: a complex one overflows for a subnormal scale.
-    return _Rows(ii, jj, deg, log_scale, expo,
-                 np.concatenate([coef.real, coef.imag]) / s,
-                 slice(bounds[0], bounds[2]), slice(bounds[1], ii.size))
-
-
-def _block_values(blk: _Block, rows: _Rows, model: BarrierModel,
-                  x: np.ndarray) -> np.ndarray:
-    """Value of one block on x, contracted over its nonzero rows.
-
-    The magnitude of each row's pole-times-envelope factor is one matrix
-    product in log space and one real exp; its sign is (-1)^i left of a
-    times (-1)^j left of b.  When a chunk of nodes lies on one side of each
-    step, those signs are the same for every node, and they flip columns of
-    the polynomial matrix instead of rows of the magnitudes.  At a step the
-    value is zero by rule, and so it is _FAR_WIDTHS widths from the center,
-    where the squares below would overflow; the masks that handle such
-    nodes are built only for a chunk that holds one.
-    """
-    g, w = blk.gauss
-    a, b = model.a, model.b
-    far_u = _FAR_WIDTHS * w
-    s2 = (WINDOW_SHARPNESS_FRACTION * model.width) ** 2
-    npow = rows.poly.shape[0] // 2
-    odd_i, odd_j = rows.odd_i, rows.odd_j
-    # Rows whose sign flips left of a (i + j odd) and inside (j odd).
-    flips_left = (slice(odd_i.start, odd_j.start), slice(odd_i.stop, None))
-    out = np.empty(x.size, dtype=complex)
-    step = _EVAL_CHUNK // max(rows.i.size, 32)
-    for lo in range(0, x.size, step):
-        xc = x[lo:lo + step]
-        x_lo, x_hi = xc.min(), xc.max()
-        u = xc - g
-        da = xc - a
-        db = xc - b
-        if x_hi < a:
-            flips = flips_left
-        elif x_lo > b:
-            flips = ()
-        elif a < x_lo and x_hi < b:
-            flips = (odd_j,)
-        else:
-            flips = None  # the nodes straddle or touch a step
-        far = dead = None
-        # x - g is monotone in x, so the extremes decide whether any node
-        # is far; da * db is 0 on a step (or where it underflows, which the
-        # masks then handle exactly).
-        if max(x_hi - g, g - x_lo) > far_u or (
-                flips is None and not (da * db).all()):
-            far = np.abs(u) > far_u
-            if far.any():
-                xc = np.where(far, g, xc)
-                u = xc - g
-                da = xc - a
-                db = xc - b
-            dead = (da == 0.0) | (db == 0.0)
-            da[dead] = 1.0
-            db[dead] = 1.0
-            flips = None
-        logs = np.empty((rows.expo.shape[1], xc.size))
-        logs[0] = 1.0
-        # log E = -s2/da^2 - s2/db^2 - (u/w)^2, formed in place.
-        e, tmp = logs[1], np.empty(xc.size)
-        np.divide(-s2, np.multiply(da, da, out=e), out=e)
-        e -= np.divide(s2, np.multiply(db, db, out=tmp), out=tmp)
-        e -= np.square(np.divide(u, w, out=tmp), out=tmp)
-        if dead is not None:
-            e[dead] = -np.inf
-        if logs.shape[0] == 4:
-            np.log(np.abs(da, out=tmp), out=logs[2])
-            np.log(np.abs(db, out=tmp), out=logs[3])
-        mag = np.exp(rows.expo @ logs)
-        poly = rows.poly
-        if flips is None:
-            if odd_i.stop > odd_i.start:
-                mag[odd_i] *= np.sign(da)
-            if odd_j.stop > odd_j.start:
-                mag[odd_j] *= np.sign(db)
-        elif flips:
-            # -p * m is -(p * m) exactly, so the products are unchanged.
-            poly = poly.copy(order="K")  # same layout, same BLAS path
-            for sl in flips:
-                poly[:, sl] *= -1.0
-        # Coefficient of u^p at each point, real and imaginary parts.
-        by_power = np.dot(poly, mag).reshape(2, npow, xc.size)
-        acc = by_power[:, -1].copy()
-        for p in range(npow - 2, -1, -1):
-            acc *= u
-            acc += by_power[:, p]
-        vals = out[lo:lo + step]
-        vals.real = acc[0]
-        vals.imag = acc[1]
-        if blk.phase:
-            vals *= _cis(blk.phase * xc)
-        if far is not None:
-            vals[far] = 0.0
-    return out
+def _order(word: str) -> int:
+    """The order of a word: H counts two, every other letter one."""
+    return len(word) + word.count("H")
 
 
 class TestFunction:
     """An element of the test-function algebra over one barrier model.
 
-    `terms` is a tuple of blocks, one per envelope (phase q, Gaussian
-    `gauss` = (center, width), and whether it is clipped to the barrier),
-    each carrying the coefficient tensor C[p, i, j] of the module docstring.
-    Treat instances as immutable.  Derivatives and the images under Q, P
-    and H are cached as chains, so repeated evaluation at increasing order
-    repeats no symbolic work; each block's nonzero rows are found once, on
-    first use.  Also kept: the support interval per radius, and per radius
-    and seminorm order; the self inner product (f, f) per QuadratureSpec,
-    so a norm asked for again integrates nothing; and, per seminorm order,
-    the derivatives of f sampled on that order's starting panels (see
-    seminorm).
+    `terms` is a tuple of _Term (coefficient, word, packet); see the module
+    docstring.  Treat instances as immutable.  Kept per function: the
+    support bounds per radius and order; the self inner product (f, f) per
+    QuadratureSpec, so a norm asked for again integrates nothing; and, per
+    seminorm order, each packet's jet on that order's starting panels (see
+    _word_norm).
     """
 
-    __slots__ = ("model", "terms", "_deriv", "_images", "_plan",
-                 "_supports", "_self_products", "_jets", "__weakref__")
+    __slots__ = ("model", "terms", "_supports", "_self_products", "_jets",
+                 "__weakref__")
     order_cap = ORDER_CAP
 
     def __init__(self, model: BarrierModel, terms):
         self.model = model
-        self.terms = tuple(terms)
-        self._deriv = None
-        self._images = {}
-        self._plan = None
+        self.terms = tuple(t for t in terms if t.coef != 0)
         self._supports = {}
         self._self_products = {}
         self._jets = {}
 
-    def derivative(self) -> "TestFunction":
-        if self._deriv is None:
-            s = WINDOW_SHARPNESS_FRACTION * self.model.width
-            self._deriv = TestFunction(
-                self.model, (_derivative(b, s) for b in self.terms))
-        return self._deriv
-
     def scaled(self, factor: complex) -> "TestFunction":
-        return TestFunction(self.model, (b._replace(coef=b.coef * factor)
-                                         for b in self.terms))
+        return TestFunction(self.model, (t._replace(coef=t.coef * factor)
+                                         for t in self.terms))
 
     def max_phase(self) -> float:
-        return max((abs(b.phase) for b in self.terms), default=0.0)
-
-    def _block_rows(self, k: int) -> _Rows:
-        """The row plan of block k, made on first use."""
-        if self._plan is None:
-            self._plan = [None] * len(self.terms)
-        rows = self._plan[k]
-        if rows is None:
-            rows = self._plan[k] = _rows(self.terms[k])
-        return rows
+        return max((abs(t.packet.momentum / self.model.hbar)
+                    for t in self.terms), default=0.0)
 
     def support_interval(self, radius: float) -> tuple[float, float]:
-        """Interval certified to contain all of |f| above 1e-18 relative.
+        """Interval certified to contain all of |f| above 1e-18 relative,
+        for |x| <= radius (see _reach)."""
+        lo, hi = self._support_bound(radius, 0)
+        return (lo, hi) if lo <= hi else (0.0, 0.0)
 
-        The bound takes each nonzero row on its own and accounts for
-        polynomial growth up to |x| = radius and for the worst windowed-pole
-        amplification, so it stays valid for high derivatives.  A block
-        clipped to [a, b] counts only inside [a, b].
-        """
-        interval = self._supports.get(radius)
+    def _support_bound(self, radius: float, order: int) -> tuple:
+        """The union over terms of the interval outside which every word
+        of the given order applied to the term is below the cutoff, for
+        |x| <= radius.  An empty bound is (inf, -inf)."""
+        interval = self._supports.get((radius, order))
         if interval is None:
-            lo, hi = self._support_bound(radius)
-            interval = self._supports[radius] = (lo, hi) if lo <= hi \
-                else (0.0, 0.0)
+            lo, hi = math.inf, -math.inf
+            for t in self.terms:
+                k = order + _order(t.word)
+                log_coef = max(0.0, math.log(abs(t.coef))) + \
+                    _log_coef_bound(self.model, k)
+                reach = _reach(self.model, t.packet, radius, k, log_coef)
+                lo = min(lo, t.packet.center - reach)
+                hi = max(hi, t.packet.center + reach)
+            interval = self._supports[(radius, order)] = (lo, hi)
         return interval
 
-    def _support_bound(self, radius: float, x_power: int = 0,
-                       log_coef: float = 0.0) -> tuple[float, float]:
-        """The support bound of f times any sum of c[r] x^r with
-        r <= x_power and log(sum of |c[r]|) <= log_coef: both widen every
-        row's margin.  An empty bound is (inf, -inf)."""
-        lo = math.inf
-        hi = -math.inf
-        a, b = self.model.a, self.model.b
-        s = WINDOW_SHARPNESS_FRACTION * self.model.width
-        for k, blk in enumerate(self.terms):
-            g, w = blk.gauss
-            npow, ni, nj = blk.coef.shape
-            # max over x of |x-pos|^-p e^{-s^2/(x-pos)^2}, per pole power p
-            power = np.arange(max(ni, nj))
-            pole = 0.5 * power * np.log1p(power / (2.0 * math.e * s * s))
-            growth = math.log(2.0 + radius + abs(g))
-            extra = x_power * growth + log_coef
-            if blk.clipped:
-                # The top power, the top pole powers and the largest |C|
-                # (at most sqrt(2) times the largest |real or imaginary
-                # part|) bound every row's margin below; one more unit
-                # covers rounding.  A clipped block out of [a, b]'s reach
-                # is skipped before its rows are planned.
-                top = np.abs(blk.coef.view(float)).max() * math.sqrt(2.0)
-                margin = (_SUPPORT_CUTOFF_LOG + 1.0 + math.log(npow)
-                          + (npow - 1) * growth + math.log(max(top, 1.0))
-                          + pole[ni - 1] + pole[nj - 1] + extra)
-                reach = w * math.sqrt(margin)
-                if g + reach < a or g - reach > b:
-                    continue
-            rows = self._block_rows(k)
-            if rows.i.size == 0:
-                continue
-            margin = _SUPPORT_CUTOFF_LOG + extra + np.log(rows.deg + 1.0)
-            margin += rows.deg * growth
-            margin += np.maximum(0.0, rows.log_scale)
-            margin += pole[rows.i]
-            margin += pole[rows.j]
-            delta = w * math.sqrt(float(margin.max()))
-            b_lo, b_hi = g - delta, g + delta
-            if blk.clipped:
-                b_lo, b_hi = max(b_lo, a), min(b_hi, b)
-                if b_lo > b_hi:
-                    continue
-            lo = min(lo, b_lo)
-            hi = max(hi, b_hi)
-        return (lo, hi)
-
     def _values(self, x: np.ndarray, n: int) -> np.ndarray:
-        f = self
-        for _ in range(n):
-            f = f.derivative()
-        model = f.model
-        total = np.zeros(x.shape, dtype=complex)
-        for k, blk in enumerate(f.terms):
-            if blk.clipped:
-                inside = np.flatnonzero((x >= model.a) & (x <= model.b))
-                if inside.size:
-                    total[inside] += _block_values(blk, f._block_rows(k),
-                                                   model, x[inside])
-            else:
-                total += _block_values(blk, f._block_rows(k), model, x)
-        return total
+        return _word_values(self, _groups(self, "D" * n), x, {})
 
     def __call__(self, x, n: int = 0):
         return evaluate(self, x, n)
 
 
+def _jet(model: BarrierModel, packet: "GaussianPacket", x: np.ndarray,
+         order: int) -> np.ndarray:
+    """f, f', ..., f^(order) of one packet on x, an (order + 1, x.size)
+    array, by Taylor-mode arithmetic (see the module docstring).
+
+    At x + t the exponent of E has the Taylor coefficients
+    psi_0 = iqx - (u/w)^2 - s^2/(x-a)^2 - s^2/(x-b)^2, psi_1 = iq - 2u/w^2
+    + 2s^2/(x-a)^3 + 2s^2/(x-b)^3, and for j >= 2 -(j+1)(-1)^j s^2 over
+    (x-a)^(j+2) and (x-b)^(j+2), with -1/w^2 added at j = 2.
+
+    A node at which one factor of E underflows on its own, (u/w)^2,
+    s^2/(x-a)^2 or s^2/(x-b)^2 above _UNDERFLOW, is set to 0 before the
+    recurrence runs.  There E is 0 in floating point, so the recurrence
+    gives 0 wherever it stays finite, and next to a step, where its pole
+    terms overflow, |d^k/dx^k e^{-s^2/(x-a)^2}| < 1.1e-250 s^-k for every
+    k <= 16.  That covers the steps themselves and nodes beyond any
+    float's reach of the Gaussian.
+    """
+    g, w, d = packet.center, packet.width, packet.poly_degree
+    q = packet.momentum / model.hbar
+    s = WINDOW_SHARPNESS_FRACTION * model.width
+    a, b = model.a, model.b
+    reach, edge = w * math.sqrt(_UNDERFLOW), s / math.sqrt(_UNDERFLOW)
+    live = None
+    if x.size:
+        # x - g is monotone in x, so the extremes decide whether any node
+        # can be dead.
+        lo, hi = x.min(), x.max()
+        if max(hi - g, g - lo) >= reach or not (
+                hi < a - edge or lo > b + edge
+                or a + edge < lo and hi < b - edge):
+            live = ((np.abs(x - g) < reach) & (np.abs(x - a) > edge)
+                    & (np.abs(x - b) > edge))
+            x = x[live]
+    u = x - g
+    ia, ib = 1.0 / (x - a), 1.0 / (x - b)
+    pa, pb = -s * s * ia * ia, -s * s * ib * ib
+    uw = u / w
+    mag = np.exp(pa + pb - uw * uw)
+    powers = [u ** p for p in range(d + 1)]
+    if d and not order:
+        mag *= powers[d]
+    e = np.empty((order + 1, x.size), dtype=complex)
+    e[0] = mag
+    if q:
+        e[0] *= _cis(q * x)
+    if order:
+        # jpsi[j - 1] = j psi_j, the weights of the recurrence.
+        jpsi = np.empty((order, x.size), dtype=complex)
+        for j in range(1, order + 1):
+            pa *= -ia
+            pb *= -ib
+            jpsi[j - 1] = j * (j + 1) * (pa + pb)
+        jpsi[0] += 1j * q - 2.0 * uw / w
+        if order >= 2:
+            jpsi[1] -= 2.0 / (w * w)
+        for k in range(1, order + 1):
+            e[k] = np.einsum("jn,jn->n", jpsi[:k], e[k - 1::-1]) / k
+        if d:
+            # (u + t)^d e(t), a Cauchy product, formed in place from the
+            # top order down.
+            for k in range(order, -1, -1):
+                e[k] *= powers[d]
+                for i in range(1, min(d, k) + 1):
+                    e[k] += (math.comb(d, i) * powers[d - i]) * e[k - i]
+        e *= np.cumprod(np.arange(order + 1.0).clip(1.0))[:, None]
+    if live is None:
+        return e
+    out = np.zeros((order + 1, live.size), dtype=complex)
+    out[:, live] = e
+    return out
+
+
+def _logsum(logs) -> float:
+    """log of the sum of exp(logs)."""
+    return float(np.logaddexp.reduce(logs))
+
+
+def _log_leibniz(log_f: np.ndarray, log_g: np.ndarray, m: int) -> float:
+    """log of sum over i <= m of C(m, i) F_i G_{m-i}, from log F and
+    log G: the Leibniz bound on the m-th derivative of a product."""
+    binom = np.log([math.comb(m, i) for i in range(m + 1)])
+    return _logsum(binom + log_f[:m + 1] + log_g[m::-1])
+
+
+@lru_cache(maxsize=64)
+def _log_window_bounds(s: float, order: int) -> np.ndarray:
+    """log M_m, m <= order: bounds over the whole line on the m-th
+    derivative of e^{-s^2/(x-a)^2} e^{-s^2/(x-b)^2}.
+
+    With t = 1/(x - a), d^j/dx^j e^{-s^2 t^2} = R_j(t) e^{-s^2 t^2} where
+    R_0 = 1 and R_{j+1}(t) = -t^2 R_j'(t) + 2 s^2 t^3 R_j(t).  |t|^k
+    e^{-s^2 t^2} is at most (1 + k / (2e s^2))^(k/2), so A_j = sum over k
+    of |R_j,k| times that bounds one window's j-th derivative, and the
+    Leibniz rule combines the two windows' bounds into M_m.
+    """
+    power = np.arange(3 * order + 1)
+    log_pole = 0.5 * power * np.log1p(power / (2.0 * math.e * s * s))
+    r = np.zeros(power.size)
+    r[0] = 1.0
+    log_a = np.empty(order + 1)
+    for j in range(order + 1):
+        nz = r != 0.0
+        log_a[j] = _logsum(np.log(np.abs(r[nz])) + log_pole[nz])
+        nxt = np.zeros(r.size)
+        nxt[1:] -= (power * r)[:-1]
+        nxt[3:] += 2.0 * s * s * r[:-3]
+        r = nxt
+    return np.array([_log_leibniz(log_a, log_a, m) for m in range(order + 1)])
+
+
+def _reach(model: BarrierModel, packet: "GaussianPacket", radius: float,
+           order: int, log_coef: float) -> float:
+    """Distance from the packet's centre beyond which, for |x| <= radius,
+    every sum of c[r, s] x^r f^(s) with r, s <= order and log of the sum of
+    |c| at most log_coef is below e^-41.5.
+
+    |f^(s)| <= e^{-(u/w)^2} sum over i of C(s, i) B_i M_{s-i}: the i-th
+    derivative of u^d e^{iqx} e^{-(u/w)^2} is Q_i(u) e^{iqx} e^{-(u/w)^2},
+    Q_0 = u^d and Q_{i+1} = Q_i' + (iq - 2u/w^2) Q_i, so B_i = sum over p
+    of |Q_i,p| (2 + radius + |g|)^p bounds |Q_i|; M_m bounds the windows
+    (see _log_window_bounds).
+    """
+    w, d = packet.width, packet.poly_degree
+    q = packet.momentum / model.hbar
+    growth = math.log(2.0 + radius + abs(packet.center))
+    poly = np.zeros(d + order + 2, dtype=complex)
+    poly[d] = 1.0
+    power = np.arange(poly.size)
+    log_b = np.empty(order + 1)
+    for i in range(order + 1):
+        nz = poly != 0.0
+        log_b[i] = _logsum(np.log(np.abs(poly[nz])) + power[nz] * growth)
+        nxt = 1j * q * poly
+        nxt[:-1] += (power * poly)[1:]
+        nxt[1:] -= (2.0 / (w * w)) * poly[:-1]
+        poly = nxt
+    log_m = _log_window_bounds(WINDOW_SHARPNESS_FRACTION * model.width, order)
+    worst = max(_log_leibniz(log_b, log_m, k) for k in range(order + 1))
+    return w * math.sqrt(_SUPPORT_CUTOFF_LOG + order * growth + log_coef
+                         + max(worst, 0.0))
+
+
 class _SlowDecay:
-    """g(x) = 1/(x + i), outside the algebra: it has no envelope blocks."""
+    """g(x) = 1/(x + i), outside the algebra: it has no packet terms."""
 
     terms = ()
 
@@ -463,8 +311,9 @@ class _SlowDecay:
 def evaluate(f: TestFunction, x, n: int = 0):
     """Evaluate the n-th derivative of f at x (scalar or array), exactly.
 
-    The derivative is symbolic; n beyond the order cap raises
-    CapabilityError.  At a window position the value is zero by rule, not by
+    The derivative is the word D^n over f's terms; n beyond the order cap
+    raises CapabilityError.  At the steps, and wherever a factor of a
+    packet's envelope underflows, the value is zero by rule, not by
     cancellation, so it is exact at every derivative order.
     """
     if n < 0:
@@ -489,27 +338,10 @@ def _member(f, name: str) -> None:
 def apply_observable(observable: Observable, f: TestFunction) -> TestFunction:
     """Apply Q (multiply by x), P (-i hbar d/dx) or H to a test function."""
     _member(f, "apply_observable")
-    image = f._images.get(observable)
-    if image is None:
-        image = f._images[observable] = _apply(observable, f)
-    return image
-
-
-def _apply(observable: Observable, f: TestFunction) -> TestFunction:
-    model = f.model
-    if observable is Observable.Q:
-        return TestFunction(model, (_times_x(b) for b in f.terms))
-    if observable is Observable.P:
-        return f.derivative().scaled(-1j * model.hbar)
-    if observable is Observable.H:
-        factor = -model.hbar**2 / (2.0 * model.mass)
-        parts = [b._replace(coef=b.coef * factor)
-                 for b in f.derivative().derivative().terms]
-        if model.v0 != 0.0:
-            parts += [b._replace(clipped=True, coef=b.coef * model.v0)
-                      for b in f.terms]
-        return TestFunction(model, _collect(parts))
-    raise DomainError(f"unknown observable {observable!r}")
+    if not isinstance(observable, Observable):
+        raise DomainError(f"unknown observable {observable!r}")
+    return TestFunction(f.model, (t._replace(word=observable.value + t.word)
+                                  for t in f.terms))
 
 
 @dataclass(frozen=True)
@@ -552,12 +384,8 @@ def build_test_function(model: BarrierModel, packet: GaussianPacket) -> TestFunc
     if isinstance(degree, bool) or not isinstance(degree, numbers.Integral) \
             or degree < 0:
         raise DomainError(f"poly_degree must be an integer >= 0, got {degree!r}")
-    # (x - center)^degree is u^degree in the block's shifted variable.
-    coef = np.zeros((packet.poly_degree + 1, 1, 1), dtype=complex)
-    coef[-1, 0, 0] = 1.0
-    block = _Block(clipped=False, phase=momentum / model.hbar,
-                   gauss=(center, width), coef=coef)
-    return TestFunction(model, (block,))
+    return TestFunction(model, (_Term(1.0, "", GaussianPacket(
+        center, width, momentum, int(degree))),))
 
 
 def slow_decay_example(model: BarrierModel) -> _SlowDecay:
@@ -575,9 +403,7 @@ def lincomb(alpha: complex, f: TestFunction, beta: complex, g: TestFunction) -> 
     _member(g, "lincomb")
     if f.model != g.model:
         raise DomainError("cannot combine functions over different models")
-    return TestFunction(f.model, _collect(
-        [b._replace(coef=b.coef * alpha) for b in f.terms]
-        + [b._replace(coef=b.coef * beta) for b in g.terms]))
+    return TestFunction(f.model, f.scaled(alpha).terms + g.scaled(beta).terms)
 
 
 def _support(f: TestFunction, spec: QuadratureSpec) -> tuple[float, float]:
@@ -634,9 +460,11 @@ def _d(c: np.ndarray) -> np.ndarray:
 def _letter(letter: str, c: np.ndarray, p: complex, kinetic: float,
             v: float) -> np.ndarray:
     """One letter applied to sum over r, s of c[r, s] x^r f^(s): Q shifts
-    r, P is p d, H is kinetic d^2 + v."""
+    r, D is d, P is p d, H is kinetic d^2 + v."""
     if letter == "Q":
         return np.concatenate([np.zeros((1, c.shape[1]), dtype=c.dtype), c])
+    if letter == "D":
+        return _d(c)
     if letter == "P":
         return p * _d(c)
     h = kinetic * _d(_d(c))
@@ -657,13 +485,13 @@ def _words(order: int) -> tuple:
 
 @lru_cache(maxsize=1024)
 def _word(model: BarrierModel, word: str) -> tuple:
-    """The coefficients c[r, s] of a word in Q, P and H (see _words),
+    """The coefficients c[r, s] of a word in Q, P, H and D (see _words),
     which maps f to sum over r, s of c[r, s] x^r f^(s) where V is constant.
 
     Returns (outside, inside), for V = 0 and for V = v0; inside is None
     where the two agree.  The letters compose exactly, one at a time onto
     the word's cached suffix: H is -(hbar^2/2m) d^2 + V, Q shifts r, P is
-    -i hbar d.
+    -i hbar d, D is d.
     """
     if not word:
         one = np.ones((1, 1), dtype=complex)
@@ -718,79 +546,95 @@ def _log_coef_bound(model: BarrierModel, order: int) -> float:
 
 
 def _jet_support(f: TestFunction, order: int, spec: QuadratureSpec) -> tuple:
-    """The interval of every seminorm of one order: the union of the
-    support bounds of f, f', ..., f^(order), each widened for a factor
-    c x^r of any word of that order, clipped to the spatial radius."""
+    """The interval of every seminorm of one order, clipped to the spatial
+    radius: the union over f's terms of the bound on every word of that
+    order applied to the term (see _reach)."""
     radius = spec.spatial_radius
-    interval = f._supports.get((radius, order))
-    if interval is None:
-        log_coef = _log_coef_bound(f.model, order)
-        lo, hi, g = math.inf, -math.inf, f
-        for s in range(order + 1):
-            g_lo, g_hi = g._support_bound(radius, order, log_coef)
-            lo, hi = min(lo, g_lo), max(hi, g_hi)
-            if s < order:
-                g = g.derivative()
-        interval = f._supports[(radius, order)] = (max(lo, -radius),
-                                                    min(hi, radius))
-    return interval
+    lo, hi = f._support_bound(radius, order)
+    return max(lo, -radius), min(hi, radius)
 
 
-def _word_values(f: TestFunction, word: tuple, x: np.ndarray,
-                 jet: dict) -> np.ndarray:
-    """The image of f under a word (see _word) on x, from f's derivatives.
+def _groups(f: TestFunction, word: str) -> list:
+    """Per packet of f, the coefficients of word applied to f's terms on
+    that packet (see _word), summed over the terms: a list of
+    (packet, outside, inside), inside None where V drops out."""
+    parts: dict = {}
+    for t in f.terms:
+        parts.setdefault(t.packet, []).append(
+            (t.coef, _word(f.model, word + t.word)))
+    groups = []
+    for packet, pairs in parts.items():
+        rows = max(c.shape[0] for _, (c, _) in pairs)
+        cols = max(c.shape[1] for _, (c, _) in pairs)
+        split = any(inside is not None for _, (_, inside) in pairs)
+        sums = np.zeros((1 + split, rows, cols), dtype=complex)
+        for coef, (outside, inside) in pairs:
+            r, s = outside.shape
+            sums[0, :r, :s] += coef * outside
+            if split:
+                sums[1, :r, :s] += coef * (outside if inside is None
+                                           else inside)
+        groups.append((packet, sums[0], sums[1] if split else None))
+    return groups
 
-    jet maps s to f^(s) on the whole of x; a derivative it lacks is sampled
-    over the whole of x and added, so a node's value never depends on what
-    else was asked.  The polynomials in x are contracted with the
-    derivatives first and then summed by Horner's rule.
-    """
-    outside, inside = word
-    model = f.model
-    mask = None
-    if inside is not None:
-        mask = (x >= model.a) & (x <= model.b)
-        if not mask.any():
-            inside = mask = None
-        elif mask.all():
-            outside, mask = inside, None
-    needed = (outside != 0).any(axis=0)
-    if mask is not None:
-        needed |= (inside != 0).any(axis=0)
-    cols = np.flatnonzero(needed).tolist()
-    for s in cols:
-        if s not in jet:
-            jet[s] = f._values(x, s)
-    derivs = np.stack([jet[s] for s in cols])
 
-    def combine(c, d, xs):
-        q = c[:, cols] @ d
-        v = q[-1].copy()
-        for r in range(q.shape[0] - 2, -1, -1):
-            v *= xs
-            v += q[r]
-        return v
-
-    if mask is None:
-        return combine(outside, derivs, x)
-    v = np.empty(x.size, dtype=complex)
-    for sel, c in ((~mask, outside), (mask, inside)):
-        v[sel] = combine(c, derivs[:, sel], x[sel])
+def _horner(c: np.ndarray, jet: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum over r, s of c[r, s] x^r jet[s]: the jet contracted first, the
+    powers of x summed by Horner's rule."""
+    if c.shape == (1, 1):
+        return c[0, 0] * jet[0]
+    q = np.einsum("rs,sn->rn", c, jet[:c.shape[1]])
+    v = q[-1].copy()
+    for r in range(q.shape[0] - 2, -1, -1):
+        v *= x
+        v += q[r]
     return v
 
 
-def _word_panels(f: TestFunction, word: tuple, start: dict):
-    """Panel evaluator (see quadrature._adaptive) of |word f|^2.  The
-    starting round, the only one that evaluates every part, reads and fills
-    f's jet on its nodes, start; later rounds sample theirs afresh."""
-    def density(jet, x):
-        v = _word_values(f, word, x, jet)
+def _word_values(f: TestFunction, groups: list, x: np.ndarray, jets: dict,
+                 top: int | None = None) -> np.ndarray:
+    """The image of f under a word, given by its groups (see _groups), on x.
+
+    jets maps a packet to its jet on the whole of x.  A packet it lacks
+    gets one, of order top, or else of the highest derivative its
+    coefficients read, so a node's value never depends on what else was
+    asked.
+    """
+    model = f.model
+    total = inner = None
+    for packet, outside, inside in groups:
+        jet = jets.get(packet)
+        if jet is None:
+            jet = jets[packet] = _jet(model, packet, x, outside.shape[1] - 1
+                                      if top is None else top)
+        if inside is not None and inner is None:
+            inner = (x >= model.a) & (x <= model.b)
+        if inside is None or not inner.any():
+            v = _horner(outside, jet, x)
+        elif inner.all():
+            v = _horner(inside, jet, x)
+        else:
+            v = np.empty(x.size, dtype=complex)
+            for sel, c in ((~inner, outside), (inner, inside)):
+                v[sel] = _horner(c, jet[:, sel], x[sel])
+        total = v if total is None else total + v
+    return np.zeros(x.size, dtype=complex) if total is None else total
+
+
+def _word_panels(f: TestFunction, groups: list, start: dict, top: int):
+    """Panel evaluator (see quadrature._adaptive) of |W f|^2 for the word
+    behind groups.  The starting round, the only one that evaluates every
+    part, reads and fills f's jets of order top on its nodes, start; later
+    rounds compute theirs afresh."""
+    def density(jets, order, x):
+        v = _word_values(f, groups, x, jets, order)
         return v.real * v.real + v.imag * v.imag
 
     def panels(mid, half, offsets, widths):
-        jet = start if len(offsets) == len(_PARTS_X) else {}
-        return _eval_panels(partial(density, jet), False, mid, half,
-                            offsets, widths)
+        first = len(offsets) == len(_PARTS_X)
+        return _eval_panels(partial(density, start if first else {},
+                                    top if first else None),
+                            False, mid, half, offsets, widths)
 
     return panels
 
@@ -799,14 +643,12 @@ def _word_norm(f: TestFunction, word: str, spec: QuadratureSpec) -> float:
     """The norm of W f for a word W in Q, P and H (see _words).
 
     Order 0 is the square root of the kept self product (f, f).  Above it,
-    no image is built: on each region where V is constant the word maps f
-    to sum over r, s of c[r, s] x^r f^(s) (see _word), since f vanishes
-    with every derivative at the steps, and |that|^2 is integrated over
-    _jet_support with the steps as starting panel edges.  Every word of one
-    order K thus starts on the same panels, and f keeps the derivatives
-    sampled there, per K, for the next word.
+    |W f|^2 is integrated from f's jets over _jet_support, with the steps
+    as starting panel edges.  Every word of one order K thus starts on the
+    same panels, and f keeps each packet's jet there, per K, for the next
+    word.
     """
-    order = len(word) + word.count("H")
+    order = _order(word)
     if order == 0:
         return math.sqrt(max(inner_product(f, f, spec).real, 0.0))
     lo, hi = _jet_support(f, order, spec)
@@ -814,16 +656,17 @@ def _word_norm(f: TestFunction, word: str, spec: QuadratureSpec) -> float:
         return 0.0
     start = f._jets.setdefault(
         (order, spec.spatial_radius, spec.max_subdivisions), {})
+    top = order + max(_order(t.word) for t in f.terms)
     model = f.model
-    vals, _, _, _, _ = _adaptive(_word_panels(f, _word(model, word), start),
-                                 lo, hi, spec, 2.0 * f.max_phase(),
-                                 breaks=(model.a, model.b))
+    vals, _, _, _, _ = _adaptive(
+        _word_panels(f, _groups(f, word), start, top), lo, hi, spec,
+        2.0 * f.max_phase(), breaks=(model.a, model.b))
     return math.sqrt(max(float(vals[0]), 0.0))
 
 
 def seminorm(f: TestFunction, n: int, m: int, l: int, spec: QuadratureSpec) -> float:
     """The norm of P^n Q^m H^l f (H applied first, then Q, then P), from
-    f's derivative jet (see _word_norm)."""
+    f's derivative jets (see _word_norm)."""
     _member(f, "seminorm")
     for v, name in ((n, "n"), (m, "m"), (l, "l")):
         if v < 0:

@@ -116,8 +116,8 @@ def default_battery(model: BarrierModel) -> list:
 
 def _packet_label(i: int, f: TestFunction) -> str:
     if f.terms:
-        c, w = f.terms[0].gauss
-        return f"packet[{i}] center={c:g} width={w:g}"
+        p = f.terms[0].packet
+        return f"packet[{i}] center={p.center:g} width={p.width:g}"
     return f"packet[{i}]"
 
 

@@ -105,6 +105,48 @@ def mp_derivative(g, x: float, order: int, dps: int = 50) -> complex:
         return complex(val)
 
 
+_SERIES: dict = {}
+
+
+def mp_word(model: BarrierModel, packet: GaussianPacket, word: str,
+            x0: float, dps: int = 50) -> complex:
+    """A word in Q, P, H and D (d/dx), its last letter acting first,
+    applied to the windowed packet, at x0 off the steps.
+
+    The packet's Taylor series at x0 comes from mpmath.taylor of
+    packet_expression; the letters act on it as truncated-series
+    arithmetic at dps digits: Q multiplies by x0 + t, D shifts the series,
+    P is -i hbar D and H is -hbar^2/2m D^2 + V(x0).  The series is kept per
+    (model, packet, x0, dps), so further words at x0 reuse it.
+    """
+    x0 = float(x0)
+    order = len(word) - word.count("Q") + word.count("H")
+    key = (model, packet, x0, dps)
+    with mpmath.workdps(dps):
+        series = _SERIES.get(key)
+        if series is None or len(series) <= order:
+            series = _SERIES[key] = mpmath.taylor(
+                packet_expression(model, packet), mpmath.mpf(repr(x0)),
+                order, chop=False)
+        x = mpmath.mpf(repr(x0))
+        hbar = mpmath.mpf(repr(model.hbar))
+        kinetic = -hbar ** 2 / (2 * mpmath.mpf(repr(model.mass)))
+        v = mpmath.mpf(repr(model.v0)) if model.a <= x0 <= model.b else 0
+        c = list(series[:order + 1])
+        for letter in reversed(word):
+            if letter == "Q":
+                c = [x * c[0]] + [x * c[k] + c[k - 1]
+                                  for k in range(1, len(c))]
+            elif letter in "DP":
+                c = [(k + 1) * c[k + 1] for k in range(len(c) - 1)]
+                if letter == "P":
+                    c = [-1j * hbar * e for e in c]
+            else:
+                c = [kinetic * (k + 1) * (k + 2) * c[k + 2] + v * c[k]
+                     for k in range(len(c) - 2)]
+        return complex(c[0])
+
+
 def quad_complex(func, lo: float, hi: float, **kw) -> complex:
     """scipy.integrate.quad applied to the real and imaginary parts."""
     kw.setdefault("limit", 400)

@@ -250,10 +250,11 @@ def test_verify_subset_passes(capsys):
 
 
 def test_verify_tight_tolerance_fails_with_names(capsys):
-    code, out, err = _run(capsys, "verify", "--checks", "commutators",
-                          "--tol", "1e-16")
+    # The momentum delta check's residual sits far above 1e-16.
+    code, out, err = _run(capsys, "verify", "--checks",
+                          "delta_normalization_momentum", "--tol", "1e-16")
     assert code == 1
-    assert "commutators" in err
+    assert "delta_normalization_momentum" in err
     reports = json.loads(out)
     assert reports[0]["tolerance"] == 1e-16
     assert not reports[0]["passed"]

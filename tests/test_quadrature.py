@@ -8,18 +8,13 @@ from hypothesis import given, strategies as st
 
 from barrierkets import (
     AccuracyError,
-    BarrierModel,
     DomainError,
-    GaussianPacket,
     QuadratureSpec,
-    build_test_function,
     integrate_energy,
     integrate_energy_batch,
     integrate_line,
     integrate_line_batch,
-    seminorm,
 )
-from barrierkets import testspace
 
 SQRT_PI = 1.7724538509055160273
 # integral of exp(-x^2) * exp(5ix) over the line: sqrt(pi) e^{-25/4}
@@ -142,30 +137,23 @@ def test_failure_carries_best_estimate():
     assert err.error is not None and err.error > 0.0
 
 
-def test_stalled_refinement_raises_early(monkeypatch):
-    # Order 16 next to the barrier: the evaluation noise of the integrand
-    # keeps the error estimate near 3e-9 of the value at every panel count.
-    # The refinement must give up with its estimate long before the panel
-    # cap, which allows 64 new nodes per panel, would stop it.
-    spec = QuadratureSpec()
-    f = build_test_function(BarrierModel(), GaussianPacket(-5.0, 1.0))
-    values = testspace.TestFunction._values
-    points = {}
+def test_stalled_refinement_raises_early(spec):
+    # Evaluation noise of 3e-8 relative keeps the error estimate near 2e-9
+    # of the value at every panel count.  The refinement must give up with
+    # its estimate long before the panel cap, which allows 64 new nodes per
+    # panel, would stop it.
+    points = []
 
-    def counting_values(g, x, n):
-        points[n] = points.get(n, 0) + np.size(x)
-        return values(g, x, n)
+    def noisy(x):
+        points.append(x.size)
+        return np.exp(-x * x) * (1.0 + 3e-8 * np.sin(1e7 * x)) + 0j
 
-    monkeypatch.setattr(testspace.TestFunction, "_values", counting_values)
-    with pytest.raises(AccuracyError) as exc_info:
-        seminorm(f, 0, 0, 8, spec)
+    with pytest.raises(AccuracyError, match="stalled") as exc_info:
+        integrate_line(noisy, spec, lo=-8.0, hi=8.0)
     err = exc_info.value
-    # The squared seminorm, 3.8334309141e27 ** 2 by runs at looser rel_tol.
-    assert err.value.real == pytest.approx(1.46952e55, rel=1e-5)
+    assert err.value.real == pytest.approx(SQRT_PI, rel=1e-8)
     assert math.isfinite(err.error) and err.error > 0.0
-    # The seminorm samples each derivative of f it reads once per node, so
-    # the node count is the most points any derivative was sampled at.
-    assert 0 < max(points.values(), default=0) < 64 * spec.max_subdivisions // 4
+    assert 0 < sum(points) < 64 * spec.max_subdivisions // 4
 
 
 def test_spec_validation():
