@@ -31,12 +31,11 @@ eigenfunction values come from one grid evaluator over (energies of one
 matching solution) x (positions); scattering_wave is its one-energy view.
 Inside the barrier it reads _interior_waves, which returns the values psi
 and the slopes psi' of the plus family (the minus family conjugates both)
-by two routes, each on its own rows: where |kappa| * width <= SMALL_PHASE
-or the energy lies in the degenerate shell around the barrier top, the
-transmitted wave at the far step carried inward by scattering._propagate;
-the interface-scaled exponential basis everywhere else.  The transforms
-read the same table, and (psi, psi') at the middle of each interior
-sub-region.
+by one route at every energy: the transmitted wave t exp(+-ikx) at the far
+step (b for LEFT, a for RIGHT) carried inward by scattering._propagate,
+whose cos / dx sinc pair is entire in kappa^2, so the propagating,
+evanescent and threshold regimes need no switch.  The transforms read the
+same table, and (psi, psi') at the middle of each interior sub-region.
 """
 
 from __future__ import annotations
@@ -46,8 +45,8 @@ import math
 import numpy as np
 
 from .model import BarrierModel
-from .scattering import SMALL_PHASE, Channel, ScatteringSolution, SignLabel, \
-    _cis, _cos_sinc, _propagate, _solve
+from .scattering import Channel, ScatteringSolution, SignLabel, _cis, \
+    _cos_sinc, _propagate, _solve
 
 __all__ = [
     "energy_prefactor",
@@ -135,32 +134,14 @@ def _interior_waves(model: BarrierModel, sol: ScatteringSolution,
                     channel: Channel, x: np.ndarray):
     """Plus-family values psi and slopes psi' of one channel at points x
     inside [a, b], each on a (energies of sol) x (positions) grid, without
-    the prefactor; see the module docstring for the two routes."""
-    k = sol.k
-    kappa = sol.kappa[:, None]
-    psi = np.empty((k.size, x.size), dtype=complex)
-    dpsi = np.empty_like(psi)
-    prop = sol.degenerate | (np.abs(sol.kappa) * model.width <= SMALL_PHASE)
-    expo = ~prop
-    if expo.any():
-        alpha, beta = sol.sc_l if channel is Channel.LEFT else sol.sc_r
-        kx = kappa[expo]
-        up = alpha[expo, None] * np.exp(1j * kx * (x - model.a))
-        down = beta[expo, None] * np.exp(-1j * kx * (x - model.b))
-        psi[expo] = up + down
-        dpsi[expo] = 1j * kx * (up - down)
-    if prop.any():
-        # Thin or threshold barrier: functions of kappa^2 alone, exact
-        # down to kappa = 0.
-        if channel is Channel.LEFT:
-            far, ik = model.b, 1j * k[prop, None]
-        else:
-            far, ik = model.a, -1j * k[prop, None]
-        psi0 = sol.t[prop, None] * _cis(ik.imag * far)
-        psi[prop], dpsi[prop] = _propagate(psi0, ik * psi0,
-                                           sol.kappa_sq[prop, None],
-                                           *_cos_sinc(kappa[prop], x - far))
-    return psi, dpsi
+    the prefactor: the transmitted wave at the far step carried inward by
+    scattering._propagate."""
+    far, ik = (model.b, 1j * sol.k) if channel is Channel.LEFT \
+        else (model.a, -1j * sol.k)
+    ik = ik[:, None]
+    psi0 = sol.t[:, None] * _cis(ik.imag * far)
+    return _propagate(psi0, ik * psi0, sol.kappa_sq[:, None],
+                      *_cos_sinc(sol.kappa[:, None], x - far))
 
 
 def _wave_grid(model: BarrierModel, sol: ScatteringSolution, channel: Channel,
@@ -169,7 +150,7 @@ def _wave_grid(model: BarrierModel, sol: ScatteringSolution, channel: Channel,
     """Eigenfunction values on a (energies of sol) x (positions) grid.
 
     Rows follow the energies of the matching solution sol, columns the
-    positions x; see the module docstring for the two interior routes.
+    positions x; points inside [a, b] read _interior_waves.
     """
     k = sol.k
     rows = np.empty((k.size, x.size), dtype=complex)

@@ -3,12 +3,14 @@
 The solve carries boundary data (psi, psi') across the barrier with
 _propagate, by the pair cos(kappa d) and d*sinc(kappa d), both entire in
 kappa^2 and formed once for both incidences, so the propagating,
-evanescent and threshold regimes share one code path.  Interior amplitudes are additionally extracted in the
-interface-scaled basis {exp(i kappa (x-a)), exp(-i kappa (x-b))}, whose
-members stay bounded inside the barrier for Im kappa >= 0; that
-representation is what downstream evaluation uses when the barrier is
-opaque, where the textbook basis {exp(+-i kappa x)} would demand
-catastrophic cancellation.
+evanescent and threshold regimes share one code path.  The same
+propagator is the one route by which eigenbasis evaluates every
+eigenfunction value inside the barrier.  The public interior amplitudes
+are additionally extracted in the interface-scaled basis
+{exp(i kappa (x-a)), exp(-i kappa (x-b))}, whose members stay bounded
+inside the barrier for Im kappa >= 0, where the textbook basis
+{exp(+-i kappa x)} would overflow for an opaque barrier; no evaluator
+reads them.
 
 One kernel solves a whole array of energies at once and returns a
 ScatteringSolution with array fields; it raises ConditioningError or
@@ -39,11 +41,6 @@ __all__ = [
 # exponential interior basis is treated as degenerate.
 _DEGENERATE_RTOL = 1e-12
 
-# Below this |kappa| * width, interior evaluation switches to the
-# cos / d*sinc propagator; the exponential basis loses accuracy to
-# cancellation while the propagator stays exact.
-SMALL_PHASE = 0.5
-
 
 class Channel(Enum):
     """Incidence channel of a degenerate scattering energy."""
@@ -72,9 +69,9 @@ class ScatteringSolution:
     {e^{i kappa x}, e^{-i kappa x}}.  The properties a_l, b_l, a_r, b_r are
     the amplitudes in that basis, formed on access: they are NaN inside the
     degenerate shell around the barrier top, where the basis ceases to exist
-    (interior values remain available through the propagator route), and
-    raise ConditioningError where they overflow, as they do for an opaque
-    barrier far from the origin.
+    (eigenfunction values inside the barrier come from the propagator and
+    read none of these fields), and raise ConditioningError where they
+    overflow, as they do for an opaque barrier far from the origin.
     """
 
     energy: float

@@ -406,10 +406,24 @@ def lincomb(alpha: complex, f: TestFunction, beta: complex, g: TestFunction) -> 
     return TestFunction(f.model, f.scaled(alpha).terms + g.scaled(beta).terms)
 
 
-def _support(f: TestFunction, spec: QuadratureSpec) -> tuple[float, float]:
-    """f's support interval clipped to the spatial radius of spec."""
-    lo, hi = f.support_interval(spec.spatial_radius)
-    return max(lo, -spec.spatial_radius), min(hi, spec.spatial_radius)
+def _support(f: TestFunction, spec: QuadratureSpec,
+             order: int = 0) -> tuple[float, float]:
+    """The interval of every word of one order applied to f (at order 0,
+    f's support interval), clipped to the spatial radius of spec: the
+    union over f's terms of the bound of _reach.
+
+    Raises DomainError when f's support lies wholly beyond the radius,
+    where every integral over the clipped interval would see nothing.
+    """
+    radius = spec.spatial_radius
+    lo, hi = f.support_interval(radius)
+    if hi <= -radius or lo >= radius:
+        raise DomainError(
+            f"f's support [{lo:.6g}, {hi:.6g}] lies beyond spatial_radius "
+            f"{radius:g}; raise spatial_radius")
+    if order:
+        lo, hi = f._support_bound(radius, order)
+    return max(lo, -radius), min(hi, radius)
 
 
 def _product(f: TestFunction, g: TestFunction, x: np.ndarray) -> np.ndarray:
@@ -545,15 +559,6 @@ def _log_coef_bound(model: BarrierModel, order: int) -> float:
                                  for c in _majorants(model, order)]))
 
 
-def _jet_support(f: TestFunction, order: int, spec: QuadratureSpec) -> tuple:
-    """The interval of every seminorm of one order, clipped to the spatial
-    radius: the union over f's terms of the bound on every word of that
-    order applied to the term (see _reach)."""
-    radius = spec.spatial_radius
-    lo, hi = f._support_bound(radius, order)
-    return max(lo, -radius), min(hi, radius)
-
-
 def _groups(f: TestFunction, word: str) -> list:
     """Per packet of f, the coefficients of word applied to f's terms on
     that packet (see _word), summed over the terms: a list of
@@ -643,7 +648,7 @@ def _word_norm(f: TestFunction, word: str, spec: QuadratureSpec) -> float:
     """The norm of W f for a word W in Q, P and H (see _words).
 
     Order 0 is the square root of the kept self product (f, f).  Above it,
-    |W f|^2 is integrated from f's jets over _jet_support, with the steps
+    |W f|^2 is integrated from f's jets over _support, with the steps
     as starting panel edges.  Every word of one order K thus starts on the
     same panels, and f keeps each packet's jet there, per K, for the next
     word.
@@ -651,7 +656,7 @@ def _word_norm(f: TestFunction, word: str, spec: QuadratureSpec) -> float:
     order = _order(word)
     if order == 0:
         return math.sqrt(max(inner_product(f, f, spec).real, 0.0))
-    lo, hi = _jet_support(f, order, spec)
+    lo, hi = _support(f, spec, order)
     if hi <= lo:
         return 0.0
     start = f._jets.setdefault(

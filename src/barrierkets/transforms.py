@@ -893,57 +893,64 @@ def synthesize_momentum(amp: MomentumAmplitude, x, spec: QuadratureSpec):
     return _shaped(vals, x)
 
 
-def _position_overlap(f: TestFunction, g: TestFunction, spec: QuadratureSpec,
-                      weight_power: int = 0) -> complex:
-    """Integral of conj(f) x^power g over the union of supports."""
-    lo_f, hi_f = _support(f, spec)
-    lo_g, hi_g = _support(g, spec)
-    lo, hi = min(lo_f, lo_g), max(hi_f, hi_g)
-    if hi <= lo:
-        return 0j
+_SIGNS = {"energy+": SignLabel.PLUS, "energy-": SignLabel.MINUS}
 
-    def integrand(x):
-        w = x ** weight_power if weight_power else 1.0
-        return _product(f, g, x) * w
-
-    return _run(integrand, lo, hi, spec, f.max_phase() + g.max_phase(),
-                (f.model.a, f.model.b)).value
+# The basis in which each observable is diagonal.
+_OBSERVABLE_BASIS = {Observable.Q: "position", Observable.P: "momentum",
+                     Observable.H: "energy+"}
 
 
-def _momentum_overlap(f: TestFunction, g: TestFunction, spec: QuadratureSpec,
-                      weight_power: int = 0) -> complex:
-    af = momentum_transform(f, "analysis", spec)
-    ag = momentum_transform(g, "analysis", spec)
+def _spectral_overlap(f: TestFunction, g: TestFunction, basis: str,
+                      spec: QuadratureSpec, powers=(0,)) -> np.ndarray:
+    """The overlap of f and g expanded in a basis, weighted by the basis
+    variable to each power: one column per power, on shared panels.
 
-    def integrand(p):
-        w = p ** weight_power if weight_power else 1.0
-        return np.conj(np.atleast_1d(af.amplitude(p))) * \
-            np.atleast_1d(ag.amplitude(p)) * w
-
-    res = integrate_line(integrand, spec, lo=-af.p_max, hi=af.p_max,
-                         freq_hint=af.osc_hint + ag.osc_hint)
-    return res.value
-
-
-def _energy_overlap(f: TestFunction, g: TestFunction, sign: SignLabel,
-                    spec: QuadratureSpec, weight_power: int = 0) -> complex:
-    af = energy_transform(f, sign, spec)
-    ag = energy_transform(g, sign, spec)
+    basis is one of "position" (the integral of conj(f) x^power g over the
+    union of the two supports), "momentum" (of the plane-wave amplitudes
+    against p^power) and "energy+" or "energy-" (of the channel-summed
+    energy amplitudes of that family against E^power).
+    """
+    if f.model != g.model:
+        raise DomainError("cannot pair functions over different models")
     model = f.model
 
+    def weighted(w, v):
+        return v[:, None] * np.stack([w ** p for p in powers], axis=1)
+
+    if basis == "position":
+        lo_f, hi_f = _support(f, spec)
+        lo_g, hi_g = _support(g, spec)
+        lo, hi = min(lo_f, lo_g), max(hi_f, hi_g)
+        if hi <= lo:
+            return np.zeros(len(powers), dtype=complex)
+        return _run(lambda x: weighted(x, _product(f, g, x)), lo, hi, spec,
+                    f.max_phase() + g.max_phase(), (model.a, model.b)).value
+    if basis == "momentum":
+        af = momentum_transform(f, "analysis", spec)
+        ag = momentum_transform(g, "analysis", spec)
+
+        def integrand(p):
+            return weighted(p, np.conj(np.atleast_1d(af.amplitude(p)))
+                            * np.atleast_1d(ag.amplitude(p)))
+
+        return integrate_line(integrand, spec, lo=-af.p_max, hi=af.p_max,
+                              freq_hint=af.osc_hint + ag.osc_hint).value
+    if basis not in _SIGNS:
+        raise DomainError(f"unknown expansion basis {basis!r}")
+    af = energy_transform(f, _SIGNS[basis], spec)
+    ag = energy_transform(g, _SIGNS[basis], spec)
+
     def integrand(e):
-        w = e ** weight_power if weight_power else 1.0
         sol = _matching(model, e)
         vf = af._at(sol)
         vg = vf if ag is af else ag._at(sol)
         total = np.zeros(np.shape(e), dtype=complex)
         for channel in (Channel.LEFT, Channel.RIGHT):
             total += np.conj(vf[channel]) * vg[channel]
-        return total * w
+        return weighted(e, total)
 
-    res = integrate_energy(integrand, spec, hbar=model.hbar, mass=model.mass,
-                           freq_hint=af.osc_hint + ag.osc_hint)
-    return res.value
+    return integrate_energy(integrand, spec, hbar=model.hbar, mass=model.mass,
+                            freq_hint=af.osc_hint + ag.osc_hint).value
 
 
 def parseval_defect(f: TestFunction, g: TestFunction, basis: str,
@@ -955,33 +962,17 @@ def parseval_defect(f: TestFunction, g: TestFunction, basis: str,
     supports, where inner_product takes their intersection, so it probes
     only the quadrature itself.
     """
-    if f.model != g.model:
-        raise DomainError("cannot pair functions over different models")
-    direct = inner_product(f, g, spec)
-    if basis == "position":
-        expanded = _position_overlap(f, g, spec)
-    elif basis == "momentum":
-        expanded = _momentum_overlap(f, g, spec)
-    elif basis == "energy+":
-        expanded = _energy_overlap(f, g, SignLabel.PLUS, spec)
-    elif basis == "energy-":
-        expanded = _energy_overlap(f, g, SignLabel.MINUS, spec)
-    else:
-        raise DomainError(f"unknown expansion basis {basis!r}")
-    return float(abs(direct - expanded))
+    (expanded,) = _spectral_overlap(f, g, basis, spec)
+    return float(abs(inner_product(f, g, spec) - expanded))
 
 
-def _spectral_moment(observable: Observable, f: TestFunction, g: TestFunction,
-                     spec: QuadratureSpec, power: int) -> complex:
-    if f.model != g.model:
-        raise DomainError("cannot pair functions over different models")
-    if observable is Observable.Q:
-        return _position_overlap(f, g, spec, weight_power=power)
-    if observable is Observable.P:
-        return _momentum_overlap(f, g, spec, weight_power=power)
-    if observable is Observable.H:
-        return _energy_overlap(f, g, SignLabel.PLUS, spec, weight_power=power)
-    raise DomainError(f"unknown observable {observable!r}")
+def _moments(observable: Observable, f: TestFunction, g: TestFunction,
+             spec: QuadratureSpec, powers) -> np.ndarray:
+    """(f, A^power g) per power, in the basis where A is diagonal."""
+    basis = _OBSERVABLE_BASIS.get(observable)
+    if basis is None:
+        raise DomainError(f"unknown observable {observable!r}")
+    return _spectral_overlap(f, g, basis, spec, powers)
 
 
 def spectral_matrix_element(observable: Observable, f: TestFunction,
@@ -993,7 +984,7 @@ def spectral_matrix_element(observable: Observable, f: TestFunction,
     through apply_observable must agree within tolerance; tests hold the two
     against each other.
     """
-    return _spectral_moment(observable, f, g, spec, power=1)
+    return complex(_moments(observable, f, g, spec, (1,))[0])
 
 
 def expectation_uncertainty(observable: Observable, f: TestFunction,
@@ -1002,8 +993,8 @@ def expectation_uncertainty(observable: Observable, f: TestFunction,
     n2 = inner_product(f, f, spec).real
     if not n2 > 0.0:
         raise DomainError("expectation values need a nonzero test function")
-    mean = _spectral_moment(observable, f, f, spec, power=1).real / n2
-    second = _spectral_moment(observable, f, f, spec, power=2).real / n2
+    mean, second = (_moments(observable, f, f, spec, (1, 2)).real
+                    / n2).tolist()
     return mean, math.sqrt(max(second - mean * mean, 0.0))
 
 

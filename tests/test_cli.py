@@ -220,6 +220,14 @@ def test_probe_total_probability(capsys):
     assert set(report["per_channel"]) == {"left", "right"}
 
 
+def test_transform_refuses_a_packet_beyond_the_spatial_radius(capsys):
+    code, out, err = _run(capsys, "transform", "--center", "100",
+                          "--energies", "4")
+    assert code == 2
+    assert out == ""
+    assert "spatial_radius" in err
+
+
 def test_probe_rejects_bad_window(capsys):
     code, _, err = _run(capsys, "probe", "--elo", "5", "--ehi", "2")
     assert code == 2

@@ -270,6 +270,29 @@ def test_lincomb_rejects_model_mixing():
         inner_product(f, other, SPEC)
 
 
+@pytest.mark.parametrize("center", [100.0, -100.0])
+@pytest.mark.parametrize("call", [
+    lambda f: inner_product(f, f, SPEC),
+    lambda f: seminorm(f, 0, 0, 0, SPEC),
+    lambda f: seminorm(f, 1, 0, 0, SPEC),
+    lambda f: energy_transform(f, SignLabel.PLUS, SPEC),
+    lambda f: momentum_transform(f, SPEC),
+], ids=["inner_product", "order_0", "order_1", "energy", "momentum"])
+def test_function_beyond_the_spatial_radius_is_refused(center, call):
+    # f is 1 at its centre, but every integral over [-R, R] sees nothing.
+    f = build_test_function(MODEL, GaussianPacket(center, 1.0))
+    assert abs(evaluate(f, center)) > 0.99
+    with pytest.raises(DomainError, match="spatial_radius"):
+        call(f)
+
+
+def test_empty_function_keeps_its_empty_support():
+    f = build_test_function(MODEL, PACKET).scaled(0.0)
+    assert ts._support(f, SPEC) == (0.0, 0.0)
+    assert inner_product(f, f, SPEC) == 0j
+    assert seminorm(f, 1, 0, 0, SPEC) == 0.0
+
+
 @pytest.mark.parametrize("call", [
     lambda g: inner_product(g, g, SPEC),
     lambda g: inner_product(build_test_function(MODEL, PACKET), g, SPEC),
@@ -347,7 +370,7 @@ def test_seminorm_samples_each_derivative_once_per_node(monkeypatch):
 def test_position_overlap_samples_f_once_per_node(monkeypatch):
     f = build_test_function(MODEL, GATE_PACKET)
     calls, nodes = _count_work(monkeypatch)
-    tr._position_overlap(f, f, SPEC, weight_power=2)
+    tr._spectral_overlap(f, f, "position", SPEC, (2,))
     assert all(g is f for g, _ in calls)
     assert sum(points for _, points in calls) == sum(nodes) > 0
 
@@ -516,7 +539,7 @@ def test_jet_image_matches_mpmath_next_to_the_steps(x0):
 def test_mixed_words_next_to_the_barrier_return(center, word):
     f = build_test_function(MODEL, GaussianPacket(center, 1.0))
     value = seminorm(f, *word, SPEC) ** 2
-    lo, hi = ts._jet_support(f, sum(word) + word[2], SPEC)
+    lo, hi = ts._support(f, SPEC, sum(word) + word[2])
     ref = _dense(lambda x: _image_values(f, _spell(*word), x), lo, hi)
     assert abs(value - ref) <= max(SPEC.abs_tol, SPEC.rel_tol * ref)
 
