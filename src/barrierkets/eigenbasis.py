@@ -26,16 +26,20 @@ table, _exterior_weights (de la Madrid, quant-ph/0502053):
     channel LEFT     (1, r_l)       (t, 0)
     channel RIGHT    (0, t)         (r_r, 1)
 
-and the minus family, the conjugate waves, has (conj B, conj A).  All energy
-eigenfunction values come from one grid evaluator over (energies of one
-matching solution) x (positions); scattering_wave is its one-energy view.
-Inside the barrier it reads _interior_waves, which returns the values psi
-and the slopes psi' of the plus family (the minus family conjugates both)
-by one route at every energy: the transmitted wave t exp(+-ikx) at the far
-step (b for LEFT, a for RIGHT) carried inward by scattering._propagate,
-whose cos / dx sinc pair is entire in kappa^2, so the propagating,
-evanescent and threshold regimes need no switch.  The transforms read the
-same table, and (psi, psi') at the middle of each interior sub-region.
+and the minus family, the conjugate waves, has (conj B, conj A).  So the
+plus family solves the Lippmann-Schwinger equation with the free kernel
+G0(E + i0) and its channel's incident wave (exp(ikx) for LEFT, exp(-ikx)
+for RIGHT), and the minus family the one with G0(E - i0) and the
+conjugate incident wave (see SignLabel).  All energy eigenfunction values come from one grid evaluator over
+(energies of one matching solution) x (positions); scattering_wave is its
+one-energy view.  Inside the barrier it reads scattering._interior_waves,
+which returns the values psi and the slopes psi' of the plus family (the
+minus family conjugates both) by one route at every energy: the
+transmitted wave t exp(+-ikx) at the far step (b for LEFT, a for RIGHT)
+carried inward by scattering._propagate, whose cos / dx sinc pair is
+entire in kappa^2, so the propagating, evanescent and threshold regimes
+need no switch.  The transforms read the same table, and (psi, psi') at
+the middle of each interior sub-region.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ import numpy as np
 
 from .model import BarrierModel
 from .scattering import Channel, ScatteringSolution, SignLabel, _cis, \
-    _cos_sinc, _propagate, _solve
+    _interior_waves, _solve
 
 __all__ = [
     "energy_prefactor",
@@ -130,29 +134,14 @@ def _exterior_weights(sol: ScatteringSolution, sign: SignLabel):
     return left, right
 
 
-def _interior_waves(model: BarrierModel, sol: ScatteringSolution,
-                    channel: Channel, x: np.ndarray):
-    """Plus-family values psi and slopes psi' of one channel at points x
-    inside [a, b], each on a (energies of sol) x (positions) grid, without
-    the prefactor: the transmitted wave at the far step carried inward by
-    scattering._propagate."""
-    far, ik = (model.b, 1j * sol.k) if channel is Channel.LEFT \
-        else (model.a, -1j * sol.k)
-    ik = ik[:, None]
-    psi0 = sol.t[:, None] * _cis(ik.imag * far)
-    return _propagate(psi0, ik * psi0, sol.kappa_sq[:, None],
-                      *_cos_sinc(sol.kappa[:, None], x - far))
-
-
-def _wave_grid(model: BarrierModel, sol: ScatteringSolution, channel: Channel,
-               sign: SignLabel, x: np.ndarray,
-               include_prefactor: bool = True) -> np.ndarray:
+def _wave_grid(sol: ScatteringSolution, channel: Channel, sign: SignLabel,
+               x: np.ndarray, include_prefactor: bool = True) -> np.ndarray:
     """Eigenfunction values on a (energies of sol) x (positions) grid.
 
     Rows follow the energies of the matching solution sol, columns the
     positions x; points inside [a, b] read _interior_waves.
     """
-    k = sol.k
+    model, k = sol.model, sol.k
     rows = np.empty((k.size, x.size), dtype=complex)
     left = x < model.a
     right = x > model.b
@@ -162,7 +151,7 @@ def _wave_grid(model: BarrierModel, sol: ScatteringSolution, channel: Channel,
         wave = _cis(np.outer(k, x[cols]))
         w_a, w_b = (np.asarray(w)[..., None] for w in weights[channel])
         rows[:, cols] = w_a * wave + w_b * np.conj(wave)
-    psi = _interior_waves(model, sol, channel, x[mid])[0]
+    psi = _interior_waves(sol, channel, x[mid])[0]
     rows[:, mid] = np.conj(psi) if sign is SignLabel.MINUS else psi
     if include_prefactor:
         rows = rows * energy_prefactor(model, k)[:, None]
@@ -174,7 +163,7 @@ def scattering_wave(model: BarrierModel, energy: float, channel: Channel,
     """Evaluate one generalized energy eigenfunction on an array of points."""
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     sol = _solve(model, np.array([float(energy)]))
-    out = _wave_grid(model, sol, channel, sign, x_arr.ravel(),
+    out = _wave_grid(sol, channel, sign, x_arr.ravel(),
                      include_prefactor)[0].reshape(x_arr.shape)
     if np.ndim(x) == 0:
         return out[0]

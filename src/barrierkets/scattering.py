@@ -1,16 +1,16 @@
 """Transmission and reflection amplitudes of the rectangular barrier.
 
-The solve carries boundary data (psi, psi') across the barrier with
-_propagate, by the pair cos(kappa d) and d*sinc(kappa d), both entire in
-kappa^2 and formed once for both incidences, so the propagating,
-evanescent and threshold regimes share one code path.  The same
-propagator is the one route by which eigenbasis evaluates every
-eigenfunction value inside the barrier.  The public interior amplitudes
-are additionally extracted in the interface-scaled basis
-{exp(i kappa (x-a)), exp(-i kappa (x-b))}, whose members stay bounded
-inside the barrier for Im kappa >= 0, where the textbook basis
-{exp(+-i kappa x)} would overflow for an opaque barrier; no evaluator
-reads them.
+The solve matches left incidence only: it carries the unit transmitted
+wave's boundary data (psi, psi') from b back to a with _propagate, by the
+pair cos(kappa d) and d sinc(kappa d), both entire in kappa^2, so the
+propagating, evanescent and threshold regimes share one code path.  The
+barrier is symmetric about (a + b) / 2, and the mirror image x -> a + b - x
+of the left-incidence wave is the right-incidence wave times e^{ik(a+b)}:
+both channels share t, and r_r = r_l e^{-2ik(a+b)}.  The same propagator,
+in _interior_waves, is the one route to every value inside the barrier:
+the eigenfunctions of the eigenbasis module, the interior data of the
+transforms, and the interior amplitudes a_l, b_l, a_r, b_r, which
+ScatteringSolution forms on access.
 
 One kernel solves a whole array of energies at once and returns a
 ScatteringSolution with array fields; it raises ConditioningError or
@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 # Relative half-width of the energy shell around v0 inside which the
-# exponential interior basis is treated as degenerate.
+# interior basis {e^{i kappa x}, e^{-i kappa x}} is treated as degenerate.
 _DEGENERATE_RTOL = 1e-12
 
 
@@ -50,7 +50,15 @@ class Channel(Enum):
 
 
 class SignLabel(Enum):
-    """Boundary-condition family: plus = incoming, minus = outgoing."""
+    """Boundary-condition family: plus = incoming, minus = outgoing.
+
+    The plus family solves the Lippmann-Schwinger equation
+    u = u0 + G0(E + i0) V u, with u0 the channel's incident plane wave and
+    G0(E + i0)(x, y) = -i m / (hbar^2 k) e^{ik|x-y|}; the minus family, its
+    pointwise conjugate, solves u = conj(u0) + G0(E - i0) V u (Lippmann and
+    Schwinger, Phys. Rev. 79 (1950) 469; de la Madrid, J. Phys. A 39 (2006)
+    3949).
+    """
 
     PLUS = "plus"
     MINUS = "minus"
@@ -61,17 +69,15 @@ class ScatteringSolution:
     """Matching data of both incidence channels.
 
     solve_matching returns one energy with scalar fields; the array kernel
-    behind it returns the same fields as arrays over its energies.  t, r_l,
-    r_r are the transmission and reflection amplitudes.  sc_l / sc_r hold
-    the interior amplitudes of each channel in the interface-scaled basis
-    {e^{i kappa (x-a)}, e^{-i kappa (x-b)}}; _lift holds the exponents
-    (-i kappa a, i kappa b) that carry them to the basis
-    {e^{i kappa x}, e^{-i kappa x}}.  The properties a_l, b_l, a_r, b_r are
-    the amplitudes in that basis, formed on access: they are NaN inside the
-    degenerate shell around the barrier top, where the basis ceases to exist
-    (eigenfunction values inside the barrier come from the propagator and
-    read none of these fields), and raise ConditioningError where they
-    overflow, as they do for an opaque barrier far from the origin.
+    behind it returns the same fields as arrays over its energies, and
+    holds the model last.  t, r_l, r_r are the transmission and reflection
+    amplitudes; right incidence is the mirror image of left incidence, so t
+    serves both.  The properties a_l, b_l, a_r, b_r are the amplitudes of
+    each channel's interior wave in the basis {e^{i kappa x}, e^{-i kappa x}},
+    formed on access from _interior_waves: they are NaN inside the
+    degenerate shell around the barrier top, where the basis ceases to
+    exist, and raise ConditioningError where they overflow, as they do for
+    an opaque barrier far from the origin.
     """
 
     energy: float
@@ -81,34 +87,42 @@ class ScatteringSolution:
     t: complex
     r_l: complex
     r_r: complex
-    sc_l: tuple[complex, complex]
-    sc_r: tuple[complex, complex]
-    _lift: tuple[complex, complex]
-    degenerate: bool
+    model: BarrierModel
 
-    def _unscaled(self, scaled, end: int):
+    def _amplitude(self, channel: Channel, at_b: bool):
+        """alpha = (psi + psi'/(i kappa)) / 2 at a lifted by e^{-i kappa a},
+        or beta = (psi - psi'/(i kappa)) / 2 at b lifted by e^{i kappa b}."""
+        model = self.model
+        step, sign = (model.b, -1.0) if at_b else (model.a, 1.0)
+        psi, dpsi = (v[..., 0] for v in
+                     _interior_waves(self, channel, np.array([step])))
+        degenerate = np.abs(np.asarray(self.energy) - model.v0) \
+            <= _DEGENERATE_RTOL * max(1.0, model.v0)
+        # Degenerate rows divide by a stand-in kappa and are overwritten by NaN.
+        ikap = 1j * np.where(degenerate, 1.0, self.kappa)
         with np.errstate(over="ignore", invalid="ignore"):
-            v = scaled * np.exp(self._lift[end])
-        if np.any(~np.isfinite(v) & ~np.asarray(self.degenerate)):
+            v = 0.5 * (psi + sign * dpsi / ikap) * np.exp(-sign * ikap * step)
+        if np.any(~np.isfinite(v) & ~degenerate):
             raise ConditioningError(
-                "unscaled interior amplitudes overflow; use sc_l / sc_r")
+                "interior amplitudes overflow; scattering_wave stays finite")
+        v = np.where(degenerate, complex(np.nan, np.nan), v)
         return v if np.ndim(v) else complex(v)
 
     @property
     def a_l(self):
-        return self._unscaled(self.sc_l[0], 0)
+        return self._amplitude(Channel.LEFT, False)
 
     @property
     def b_l(self):
-        return self._unscaled(self.sc_l[1], 1)
+        return self._amplitude(Channel.LEFT, True)
 
     @property
     def a_r(self):
-        return self._unscaled(self.sc_r[0], 0)
+        return self._amplitude(Channel.RIGHT, False)
 
     @property
     def b_r(self):
-        return self._unscaled(self.sc_r[1], 1)
+        return self._amplitude(Channel.RIGHT, True)
 
 
 def _cis(phase: np.ndarray) -> np.ndarray:
@@ -128,27 +142,33 @@ def _sinc(z):
                     np.sin(safe) / safe)
 
 
-def _cos_sinc(kappa, dx):
-    """The pair cos(kappa dx) and dx sinc(kappa dx), both entire in kappa^2.
-
-    kappa (-dx) is -(kappa dx) exactly, so the pair for -dx is
-    (cos, -sinc) bit for bit.
-    """
+def _propagate(psi, dpsi, kappa, kappa_sq, dx):
+    """(psi, psi') inside the barrier carried a distance dx, by the pair
+    cos(kappa dx) and dx sinc(kappa dx), both entire in kappa^2."""
     z = kappa * dx
-    return np.cos(z), dx * _sinc(z)
-
-
-def _propagate(psi, dpsi, kappa_sq, cos, sinc):
-    """(psi, psi') inside the barrier carried a distance dx, given the pair
-    _cos_sinc(kappa, dx)."""
+    cos, sinc = np.cos(z), dx * _sinc(z)
     return cos * psi + sinc * dpsi, cos * dpsi - kappa_sq * sinc * psi
 
 
-def _check_matching(c_in, energies, side: str) -> None:
+def _interior_waves(sol: ScatteringSolution, channel: Channel, x: np.ndarray):
+    """Plus-family values psi and slopes psi' of one channel at points x
+    inside [a, b], each on a (energies of sol) x (positions) grid, without
+    the prefactor: the transmitted wave at the far step (b for LEFT, a for
+    RIGHT) carried inward by _propagate."""
+    model = sol.model
+    k = np.asarray(sol.k)[..., None]
+    far, ik = (model.b, 1j * k) if channel is Channel.LEFT \
+        else (model.a, -1j * k)
+    psi0 = np.asarray(sol.t)[..., None] * _cis(ik.imag * far)
+    return _propagate(psi0, ik * psi0, np.asarray(sol.kappa)[..., None],
+                      np.asarray(sol.kappa_sq)[..., None], x - far)
+
+
+def _check_matching(c_in, energies) -> None:
     bad = ~(np.isfinite(c_in) & (np.abs(c_in) > 1e-12))
     if bad.any():
         raise ConditioningError(
-            f"{side} matching system is singular at E={energies[bad][0]}")
+            f"matching system is singular at E={energies[bad][0]}")
 
 
 def _solve(model: BarrierModel, energies: np.ndarray) -> ScatteringSolution:
@@ -163,60 +183,28 @@ def _solve(model: BarrierModel, energies: np.ndarray) -> ScatteringSolution:
             f"barrier opacity |Im kappa|*width = {opacity.max():.1f} exceeds "
             "floating-point range")
 
-    ik = 1j * k
-    cos, sinc = _cos_sinc(kappa, d)
-
     # Left incidence: unit transmitted wave at b, propagated back to a.
+    ik = 1j * k
     eb = _cis(k * b)
-    psi_a, dpsi_a = _propagate(eb, ik * eb, kappa_sq, cos, -sinc)
+    psi_a, dpsi_a = _propagate(eb, ik * eb, kappa, kappa_sq, -d)
     ea = _cis(k * a)
     c_in = 0.5 * (psi_a + dpsi_a / ik) / ea
+    _check_matching(c_in, energies)
     c_ref = 0.5 * (psi_a - dpsi_a / ik) * ea
-    _check_matching(c_in, energies, "left")
-    t = 1.0 / c_in
+    # Right incidence is the mirror image x -> a + b - x of left incidence:
+    # the same t, and r_r = r_l e^{-2ik(a+b)}, formed from the phases ea and
+    # eb that r_l and the interior waves already carry.
     r_l = c_ref / c_in
-
-    # Right incidence: unit transmitted wave at a, propagated forward to b.
-    ea_m = _cis(-k * a)
-    psi_b2, dpsi_b2 = _propagate(ea_m, -ik * ea_m, kappa_sq, cos, sinc)
-    c_in2 = 0.5 * (psi_b2 - dpsi_b2 / ik) * eb
-    c_ref2 = 0.5 * (psi_b2 + dpsi_b2 / ik) / eb
-    _check_matching(c_in2, energies, "right")
-    t2 = 1.0 / c_in2
-    r_r = c_ref2 / c_in2
-
-    degenerate = np.abs(energies - model.v0) <= _DEGENERATE_RTOL * max(1.0, model.v0)
-    # Degenerate rows divide by a stand-in kappa and are overwritten by NaN.
-    kap = np.where(degenerate, 1.0, kappa)
-    ikap = 1j * kap
-    # Each scaled amplitude is read off at the interface where its basis
-    # function is O(1): no growing exponentials enter.
-    alpha_l = 0.5 * (psi_a + dpsi_a / ikap) * t
-    beta_l = 0.5 * eb * (1.0 - k / kap) * t
-    alpha_r = 0.5 * ea_m * (1.0 - k / kap) * t2
-    beta_r = 0.5 * (psi_b2 - dpsi_b2 / ikap) * t2
-
-    def interior(v):
-        return np.where(degenerate, complex(np.nan, np.nan), v)
-
     return ScatteringSolution(
-        energy=energies, k=k, kappa=kappa, kappa_sq=kappa_sq,
-        t=t, r_l=r_l, r_r=r_r,
-        sc_l=(interior(alpha_l), interior(beta_l)),
-        sc_r=(interior(alpha_r), interior(beta_r)),
-        _lift=(-ikap * a, ikap * b),
-        degenerate=degenerate)
+        energy=energies, k=k, kappa=kappa, kappa_sq=kappa_sq, t=1.0 / c_in,
+        r_l=r_l, r_r=r_l * np.conj(ea * eb) ** 2, model=model)
 
 
 def solve_matching(model: BarrierModel, energy: float) -> ScatteringSolution:
     """Match plane waves across the barrier at energy E > 0."""
     sol = _solve(model, np.array([float(energy)]))
-
-    def item(v):
-        return tuple(item(p) for p in v) if isinstance(v, tuple) else v[0].item()
-
-    return ScatteringSolution(**{f.name: item(getattr(sol, f.name))
-                                 for f in fields(sol)})
+    return ScatteringSolution(*(getattr(sol, f.name)[0].item()
+                                for f in fields(sol)[:-1]), model)
 
 
 def s_matrix(model: BarrierModel, energy: float) -> np.ndarray:

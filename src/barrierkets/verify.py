@@ -186,7 +186,7 @@ def check_eigenbra_conjugation(model: BarrierModel, energy: float,
         lo, hi = _support(f, spec)
 
         def bra_integrand(x):
-            rows = _wave_grid(model, sol, channel, sign, x)
+            rows = _wave_grid(sol, channel, sign, x)
             return np.conj(evaluate(f, x)) * rows[0]
 
         bra = _run(bra_integrand, lo, hi, spec, k + f.max_phase(),
@@ -231,8 +231,8 @@ def _delta_energy(model: BarrierModel, sign: SignLabel, probe, channel: Channel,
 
     def psi_rows(x):
         def g(e):
-            return amp_in(e)[:, None] * _wave_grid(model, _solve(model, e),
-                                                   channel, sign, x)
+            return amp_in(e)[:, None] * _wave_grid(_solve(model, e), channel,
+                                                   sign, x)
 
         vals, _, _ = integrate_energy(
             g, ispec, hbar=hbar, mass=mass, e_lo=e_lo, e_hi=e_hi,
@@ -246,7 +246,7 @@ def _delta_energy(model: BarrierModel, sign: SignLabel, probe, channel: Channel,
     def integrand(x):
         # One analysis of the synthesized wave: the injected channel's
         # columns, then the other channel's.
-        rows = np.concatenate([_wave_grid(model, sol, ch, sign, x)
+        rows = np.concatenate([_wave_grid(sol, ch, sign, x)
                                for ch in (channel, other)])
         return np.conj(rows).T * psi_rows(x)[:, None]
 

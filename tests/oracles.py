@@ -77,60 +77,81 @@ def rk4_scattering(model: BarrierModel, energies, steps: int = 6000) -> dict:
             "t_right": t_r}
 
 
-def mp_interior_waves(model: BarrierModel, energy: float, channel: Channel,
-                      x, dps: int = 40):
-    """Plus-family psi and psi' of one channel at points x inside [a, b],
-    without the prefactor, by matching at dps digits.
+def _mp_channel(model: BarrierModel, energy: float, channel: Channel):
+    """One channel's matching at mpmath's working precision.
 
     Inside the barrier psi = alpha e^{i kappa (x-a)} + beta e^{-i kappa (x-b)};
     the pair (alpha, beta) is read off at the step where the unit
     transmitted wave leaves the barrier (b for LEFT, a for RIGHT), and the
-    transmission amplitude that scales it from the incoming wave's weight at
-    the other step.  At kappa = 0 the interior wave is its linear limit.
+    weights of the incoming and reflected waves at the other step give the
+    transmission and reflection amplitudes.  At kappa = 0 the interior wave
+    is its linear limit.  Returns (t, r, wave), wave(x) the unit
+    transmitted wave's (psi, psi') at x.
+    """
+    # Every float enters exactly.
+    a, b, hbar, mass, v0, e = (mpmath.mpf(float(v)) for v in (
+        model.a, model.b, model.hbar, model.mass, model.v0, energy))
+    ik = 1j * mpmath.sqrt(2 * mass * e) / hbar
+    kappa_sq = 2 * mass * (e - v0) / hbar ** 2
+    kappa = mpmath.sqrt(kappa_sq) if kappa_sq >= 0 \
+        else 1j * mpmath.sqrt(-kappa_sq)
+    ikap = 1j * kappa
+    left = channel is Channel.LEFT
+    # The unit transmitted wave and its slope at the far step.
+    far, near = (b, a) if left else (a, b)
+    sign = 1 if left else -1
+    psi_far = mpmath.exp(sign * ik * far)
+    dpsi_far = sign * ik * psi_far
+
+    def wave(xs):
+        if kappa == 0:
+            return psi_far + dpsi_far * (xs - far), dpsi_far
+        up, down = (psi_far + dpsi_far / ikap) / 2, \
+            (psi_far - dpsi_far / ikap) / 2
+        # up and down are the weights of e^{+-i kappa (x - far)}.
+        if left:
+            alpha = up * mpmath.exp(-ikap * (b - a))
+            beta = down
+        else:
+            alpha = up
+            beta = down * mpmath.exp(-ikap * (b - a))
+        u = alpha * mpmath.exp(ikap * (xs - a))
+        v = beta * mpmath.exp(-ikap * (xs - b))
+        return u + v, ikap * (u - v)
+
+    psi_near, dpsi_near = wave(near)
+    # Weights of the incoming wave e^{+-ikx} and the reflected wave
+    # e^{-+ikx} at the near step.
+    c_in = (psi_near + sign * dpsi_near / ik) / 2 \
+        * mpmath.exp(-sign * ik * near)
+    c_ref = (psi_near - sign * dpsi_near / ik) / 2 \
+        * mpmath.exp(sign * ik * near)
+    return 1 / c_in, c_ref / c_in, wave
+
+
+def mp_interior_waves(model: BarrierModel, energy: float, channel: Channel,
+                      x, dps: int = 40):
+    """Plus-family psi and psi' of one channel at points x inside [a, b],
+    without the prefactor, by matching at dps digits (see _mp_channel).
     Returns complex arrays shaped like x.
     """
     x = np.asarray(x, dtype=float)
     with mpmath.workdps(dps):
-        # Every float enters exactly.
-        a, b, hbar, mass, v0, e = (mpmath.mpf(float(v)) for v in (
-            model.a, model.b, model.hbar, model.mass, model.v0, energy))
-        ik = 1j * mpmath.sqrt(2 * mass * e) / hbar
-        kappa_sq = 2 * mass * (e - v0) / hbar ** 2
-        kappa = mpmath.sqrt(kappa_sq) if kappa_sq >= 0 \
-            else 1j * mpmath.sqrt(-kappa_sq)
-        ikap = 1j * kappa
-        left = channel is Channel.LEFT
-        # The unit transmitted wave and its slope at the far step.
-        far, near = (b, a) if left else (a, b)
-        sign = 1 if left else -1
-        psi_far = mpmath.exp(sign * ik * far)
-        dpsi_far = sign * ik * psi_far
-
-        def wave(xs):
-            if kappa == 0:
-                return psi_far + dpsi_far * (xs - far), dpsi_far
-            up, down = (psi_far + dpsi_far / ikap) / 2, \
-                (psi_far - dpsi_far / ikap) / 2
-            # up and down are the weights of e^{+-i kappa (x - far)}.
-            if left:
-                alpha = up * mpmath.exp(-ikap * (b - a))
-                beta = down
-            else:
-                alpha = up
-                beta = down * mpmath.exp(-ikap * (b - a))
-            u = alpha * mpmath.exp(ikap * (xs - a))
-            v = beta * mpmath.exp(-ikap * (xs - b))
-            return u + v, ikap * (u - v)
-
-        psi_near, dpsi_near = wave(near)
-        # Weight of the incoming wave e^{+-ikx} at the near step.
-        c_in = (psi_near + sign * dpsi_near / ik) / 2 \
-            * mpmath.exp(-sign * ik * near)
-        t = 1 / c_in
+        t, _, wave = _mp_channel(model, energy, channel)
         pairs = [wave(mpmath.mpf(xi)) for xi in x.ravel().tolist()]
         psi = np.array([complex(t * p) for p, _ in pairs]).reshape(x.shape)
         dpsi = np.array([complex(t * d) for _, d in pairs]).reshape(x.shape)
     return psi, dpsi
+
+
+def mp_matching(model: BarrierModel, energy: float, dps: int = 40) -> dict:
+    """t, r_l, r_r and the right channel's own t_right, each matched at dps
+    digits in its own channel (see _mp_channel), as complex numbers."""
+    with mpmath.workdps(dps):
+        t, r_l, _ = _mp_channel(model, energy, Channel.LEFT)
+        t_right, r_r, _ = _mp_channel(model, energy, Channel.RIGHT)
+        return {"t": complex(t), "t_right": complex(t_right),
+                "r_l": complex(r_l), "r_r": complex(r_r)}
 
 
 def packet_expression(model: BarrierModel, packet: GaussianPacket):

@@ -228,6 +228,21 @@ def test_transform_refuses_a_packet_beyond_the_spatial_radius(capsys):
     assert "spatial_radius" in err
 
 
+def test_transform_clipped_at_the_spatial_radius_asks_for_a_larger_radius(
+        capsys, tmp_path):
+    code, out, err = _run(capsys, "transform", "--center", "39",
+                          "--energies", "4")
+    assert code == 1
+    assert out == ""
+    assert "raise spatial_radius" in err and "raise k_max" not in err
+    cfg = tmp_path / "wide.json"
+    cfg.write_text(json.dumps({"quadrature": {"spatial_radius": 60.0}}))
+    code, out, _ = _run(capsys, "transform", "--center", "39",
+                        "--energies", "4", "--config", str(cfg))
+    assert code == 0
+    assert len(out.strip().split("\n")) == 3
+
+
 def test_probe_rejects_bad_window(capsys):
     code, _, err = _run(capsys, "probe", "--elo", "5", "--ehi", "2")
     assert code == 2

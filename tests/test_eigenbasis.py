@@ -17,8 +17,9 @@ from barrierkets import (
     momentum_transform,
     scattering_wave,
 )
-from barrierkets.eigenbasis import _cis, _panel_waves
-from barrierkets.quadrature import _GL_X, _PARTS_X
+from barrierkets.eigenbasis import _cis, _panel_waves, _wave_grid
+from barrierkets.quadrature import _GL_X, _PARTS_X, integrate_line
+from barrierkets.scattering import _solve
 from oracles import fd_derivative, quad_complex
 
 # sqrt(m / (2 pi k hbar^2)) at k = 1 with m = 1/2: 1 / (2 sqrt(pi))
@@ -118,6 +119,67 @@ def test_evanescent_interior_decays():
     assert np.all(np.diff(mag) > 0.0)
     mag_l = np.abs(scattering_wave(m, 1.0, Channel.LEFT, SignLabel.PLUS, x))
     assert np.all(np.diff(mag_l) < 0.0)
+
+
+# Thin, wide, off-origin and non-unit (hbar, mass) barriers.
+LS_MODELS = [
+    BarrierModel(),
+    BarrierModel(a=-0.3, b=0.9, v0=5.0),
+    BarrierModel(a=1.0, b=1.5, v0=0.7, hbar=0.8, mass=1.3),
+    BarrierModel(a=0.0, b=5.0, v0=2.0),
+]
+
+
+@pytest.mark.parametrize("model", LS_MODELS)
+def test_families_solve_the_lippmann_schwinger_equation(model):
+    # u = u0 + v0 * integral over [a, b] of G0(x, y) u(y) dy, with the free
+    # kernel G0 = -+ i m / (hbar^2 k) e^{+-ik|x - y|} of the plus (minus)
+    # family and u0 = e^{+-ikx} its channel's incident wave, conjugated for
+    # the minus family.  Each integral is split at x, where |x - y| kinks,
+    # and mapped onto [0, 1], so one batched quadrature serves every
+    # (energy, point, piece).
+    a, b, v0 = model.a, model.b, model.v0
+    energies = np.array([1e-3, 0.5, v0 * (1.0 - 1e-3), v0, v0 * (1.0 + 1e-3),
+                         3.3, 40.0, 400.0])
+    x = np.concatenate([np.linspace(a - 2.0, a - 0.25, 5),
+                        a + model.width * np.linspace(0.0, 1.0, 7)[1:-1],
+                        np.linspace(b + 0.25, b + 2.0, 5)])
+    sol = _solve(model, energies)
+    k = sol.k[:, None, None]
+    split = np.clip(x, a, b)
+    lo = np.concatenate([np.full(x.size, a), split])
+    length = np.concatenate([split, np.full(x.size, b)]) - lo
+    spec = QuadratureSpec(abs_tol=1e-13, rel_tol=0.0)
+    hint = float(np.max(sol.k + np.abs(sol.kappa)) * model.width)
+    # The phases k x and kappa (x - step) are rounded to an ulp of
+    # themselves, so the rounding floor grows with their size.
+    unit = np.finfo(float).eps * (
+        1.0 + np.outer(sol.k, np.maximum(np.abs(x), max(abs(a), abs(b))))
+        + np.abs(sol.kappa)[:, None] * model.width)
+    for channel in Channel:
+        for sign in SignLabel:
+            s = 1.0 if sign is SignLabel.PLUS else -1.0
+            kernel = -s * 1j * model.mass / model.hbar ** 2 / k
+
+            def integrand(t):
+                y = lo + np.outer(t, length)
+                u = _wave_grid(sol, channel, sign, y.ravel(),
+                               include_prefactor=False)
+                g = kernel * np.exp(s * 1j * k * np.abs(np.tile(x, 2) - y))
+                cols = v0 * length * g * u.reshape((-1,) + y.shape)
+                return cols.transpose(1, 0, 2).reshape(t.size, -1)
+
+            vals, errs, _ = integrate_line(integrand, spec, 0.0, 1.0, hint)
+            scattered, err = (v.reshape(energies.size, 2, x.size).sum(axis=1)
+                              for v in (vals, errs))
+            u = _wave_grid(sol, channel, sign, x, include_prefactor=False)
+            incident = np.exp(1j * np.outer(sol.k, x))
+            if (channel is Channel.RIGHT) != (sign is SignLabel.MINUS):
+                incident = np.conj(incident)
+            resid = np.abs(u - incident - scattered)
+            tol = err + 4.0 * unit * np.maximum(1.0, np.abs(u))
+            assert np.all(resid <= tol), \
+                f"{channel} {sign}: worst {np.max(resid / tol):.2f} of tol"
 
 
 def test_values_at_steps_are_finite():

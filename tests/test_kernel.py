@@ -10,13 +10,13 @@ from barrierkets import (
     BarrierModel,
     Channel,
     ConditioningError,
+    ScatteringSolution,
     SignLabel,
     scattering_wave,
     solve_matching,
 )
-from barrierkets.eigenbasis import _exterior_weights, _interior_waves, \
-    _wave_grid
-from barrierkets.scattering import _solve
+from barrierkets.eigenbasis import _exterior_weights, _wave_grid
+from barrierkets.scattering import _interior_waves, _solve
 from oracles import mp_interior_waves
 
 MODELS = [
@@ -56,22 +56,22 @@ def _close(kernel_value, scalar_value):
 @pytest.mark.parametrize("model", MODELS)
 def test_kernel_matches_scalar_view_field_by_field(model):
     energies = _energies(model)
+    names = [f.name for f in dataclasses.fields(ScatteringSolution)
+             if f.name != "model"] + ["a_l", "b_l", "a_r", "b_r"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         sol = _solve(model, energies)
+        rows = {name: getattr(sol, name) for name in names}
         for i, energy in enumerate(energies):
             one = solve_matching(model, float(energy))
-            for field in dataclasses.fields(one):
-                ref = getattr(one, field.name)
-                got = getattr(sol, field.name)
-                if isinstance(ref, tuple):
-                    pairs = [(g[i], r) for g, r in zip(got, ref)]
-                else:
-                    pairs = [(got[i], ref)]
-                for g, r in pairs:
-                    assert _close(g, r), f"{field.name} at E={energy!r}"
-    # The shell energies are flagged, and only they.
-    assert sol.degenerate.tolist() == [False, False, True, True, True] + [False] * 8
+            assert one.model == sol.model == model
+            for name in names:
+                assert _close(rows[name][i], getattr(one, name)), \
+                    f"{name} at E={energy!r}"
+    # The interior amplitudes are NaN at the shell energies, and only there.
+    shell = [False, False, True, True, True] + [False] * 8
+    for name in ("a_l", "b_l", "a_r", "b_r"):
+        assert np.isnan(rows[name]).tolist() == shell
 
 
 @pytest.mark.parametrize("model", MODELS)
@@ -84,7 +84,7 @@ def test_grid_rows_match_scattering_wave(model):
         sol = _solve(model, energies)
         for channel in Channel:
             for sign in SignLabel:
-                rows = _wave_grid(model, sol, channel, sign, x)
+                rows = _wave_grid(sol, channel, sign, x)
                 for i, energy in enumerate(energies):
                     ref = scattering_wave(model, float(energy), channel, sign, x)
                     assert np.all(np.isfinite(rows[i]))
@@ -101,7 +101,7 @@ def test_interior_waves_meet_the_exterior_table(model):
     steps = np.array([model.a, model.b])
     wave = np.exp(1j * np.outer(sol.k, steps))
     for channel in Channel:
-        psi, dpsi = _interior_waves(model, sol, channel, steps)
+        psi, dpsi = _interior_waves(sol, channel, steps)
         for col, weights in enumerate(_exterior_weights(sol, SignLabel.PLUS)):
             w_a, w_b = (np.broadcast_to(w, sol.k.shape)
                         for w in weights[channel])
@@ -143,8 +143,8 @@ def test_interior_values_match_the_mpmath_oracle(model):
             1.0 + sol.k * max(abs(model.a), abs(model.b))
             + np.abs(sol.kappa) * model.width)
         for channel in Channel:
-            psi, dpsi = _interior_waves(model, sol, channel, x)
-            plus, minus = (_wave_grid(model, sol, channel, sign, x,
+            psi, dpsi = _interior_waves(sol, channel, x)
+            plus, minus = (_wave_grid(sol, channel, sign, x,
                                       include_prefactor=False)
                            for sign in (SignLabel.PLUS, SignLabel.MINUS))
             for i, energy in enumerate(energies):
